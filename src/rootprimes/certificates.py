@@ -22,7 +22,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ClassificationGapError
-from .intlin import FinAbGroup, IntMatrix, is_prime, p_torsion_free, quotient_group
+from .intlin import FinAbGroup, IntMatrix, is_prime, p_torsion_free, quotient_group, strict_int
 from .primes import bad_primes, report, x_mod_root_lattice, y_mod_coroot_lattice
 from .rootdatum import RootDatum, components, dual, ensure_valid
 from .subsystems import (
@@ -59,7 +59,7 @@ class Certificate:
         return cls(
             kind=str(data["kind"]),
             datum=RootDatum.from_dict(data["datum"]),
-            p=int(data["p"]),
+            p=strict_int(data["p"]),
             payload=dict(data["payload"]),
         )
 
@@ -159,8 +159,51 @@ def build_certificate(datum: RootDatum, p: int) -> Certificate:
     )
 
 
+def _list_of(value, parse=strict_int) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return [parse(x) for x in value]
+
+
+def _int_matrix(value) -> IntMatrix:
+    return IntMatrix.from_rows(_list_of(value, _list_of))
+
+
+def _side(value) -> str:
+    if value not in ("primary", "dual"):
+        raise ValueError(f"side must be 'primary' or 'dual', got {value!r}")
+    return value
+
+
+# every payload field of each kind, with its strict parser
+_PAYLOAD_FIELDS = {
+    PRETTY_GOOD_PROOF: {
+        "bad_primes": _list_of,
+        "x_mod_root_lattice": FinAbGroup.from_dict,
+        "y_mod_coroot_lattice": FinAbGroup.from_dict,
+    },
+    CENTER_TORSION: {"x_mod_root_lattice": FinAbGroup.from_dict},
+    BAD_PRIME_SUBSYSTEM: {
+        "component": strict_int,
+        "node": strict_int,
+        "crossed_coefficient": strict_int,
+        "subsystem": _list_of,
+        "root_lattice_quotient": FinAbGroup.from_dict,
+    },
+    COXETER_TORSION: {
+        "side": _side,
+        "weyl_matrix": _int_matrix,
+        "character_quotient": FinAbGroup.from_dict,
+    },
+}
+
+
 def verify_certificate(cert: Certificate) -> bool:
-    """Re-run the named check from the embedded datum and payload."""
+    """Re-run the named check from the embedded datum and payload.
+
+    Total: an invalid datum, a non-prime p, an unknown kind, or a payload
+    with a missing or mistyped field all give False.
+    """
     try:
         datum = ensure_valid(cert.datum)
     except ValueError:
@@ -168,30 +211,31 @@ def verify_certificate(cert: Certificate) -> bool:
     p = cert.p
     if not is_prime(p):
         return False
-    payload = cert.payload
+    try:
+        fields = {key: parse(cert.payload[key]) for key, parse in _PAYLOAD_FIELDS[cert.kind].items()}
+    except (KeyError, TypeError, ValueError):
+        return False
 
     if cert.kind == PRETTY_GOOD_PROOF:
         x_q = x_mod_root_lattice(datum)
         y_q = y_mod_coroot_lattice(datum)
         return (
-            sorted(bad_primes(datum)) == list(payload["bad_primes"])
+            sorted(bad_primes(datum)) == fields["bad_primes"]
             and p not in bad_primes(datum)
-            and FinAbGroup.from_dict(payload["x_mod_root_lattice"]) == x_q
-            and FinAbGroup.from_dict(payload["y_mod_coroot_lattice"]) == y_q
+            and fields["x_mod_root_lattice"] == x_q
+            and fields["y_mod_coroot_lattice"] == y_q
             and p_torsion_free(x_q, p)
             and p_torsion_free(y_q, p)
         )
 
     if cert.kind == CENTER_TORSION:
         x_q = x_mod_root_lattice(datum)
-        return FinAbGroup.from_dict(payload["x_mod_root_lattice"]) == x_q and not p_torsion_free(
-            x_q, p
-        )
+        return fields["x_mod_root_lattice"] == x_q and not p_torsion_free(x_q, p)
 
     if cert.kind == BAD_PRIME_SUBSYSTEM:
-        component = int(payload["component"])
-        node = int(payload["node"])
-        coefficient = int(payload["crossed_coefficient"])
+        component = fields["component"]
+        node = fields["node"]
+        coefficient = fields["crossed_coefficient"]
         comps = components(datum)
         if not 0 <= component < len(comps):
             return False
@@ -199,10 +243,10 @@ def verify_certificate(cert: Certificate) -> bool:
         if not 0 <= node < len(coeffs) or coeffs[node] != coefficient or coefficient % p:
             return False
         subset = cross_out_node(datum, component, node)
-        if list(subset.sorted_indices) != list(payload["subsystem"]):
+        if list(subset.sorted_indices) != fields["subsystem"]:
             return False
         quotient = _root_lattice_quotient(datum, subset.sorted_indices)
-        if FinAbGroup.from_dict(payload["root_lattice_quotient"]) != quotient:
+        if fields["root_lattice_quotient"] != quotient:
             return False
         # the p-torsion must be cyclic of order the p-part of the coefficient
         p_part = 1
@@ -212,19 +256,14 @@ def verify_certificate(cert: Certificate) -> bool:
             p_part *= p
         return quotient.p_part(p) == (p_part,)
 
-    if cert.kind == COXETER_TORSION:
-        side = payload.get("side", "primary")
-        side_datum = datum if side == "primary" else dual(datum)
-        matrix = IntMatrix.from_rows(payload["weyl_matrix"], cols=side_datum.rank)
-        if matrix.rows != side_datum.rank:
-            return False
-        w = WeylElement(matrix)
-        if not matrix.is_unimodular() or not w.permutes_roots(side_datum):
-            return False
-        image_rows = (matrix - IntMatrix.identity(side_datum.rank)).transpose()
-        group = quotient_group(side_datum.rank, image_rows)
-        if FinAbGroup.from_dict(payload["character_quotient"]) != group:
-            return False
-        return not p_torsion_free(group, p)
-
-    return False
+    # COXETER_TORSION
+    side_datum = datum if fields["side"] == "primary" else dual(datum)
+    matrix = fields["weyl_matrix"]
+    if (matrix.rows, matrix.cols) != (side_datum.rank, side_datum.rank):
+        return False
+    w = WeylElement(matrix)
+    if not matrix.is_unimodular() or not w.permutes_roots(side_datum):
+        return False
+    image_rows = (matrix - IntMatrix.identity(side_datum.rank)).transpose()
+    group = quotient_group(side_datum.rank, image_rows)
+    return fields["character_quotient"] == group and not p_torsion_free(group, p)

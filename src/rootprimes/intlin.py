@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContainmentError
@@ -24,6 +23,17 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError("dimension mismatch in dot product")
     return sum(x * y for x, y in zip(a, b))
+
+
+def strict_int(value) -> int:
+    """``value`` itself if it is an ``int``; ValueError for bools, floats, strings and the rest.
+
+    Parsers of outside data use it where ``int()`` would silently truncate
+    ``1.7`` or read ``true`` as 1.
+    """
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -98,11 +108,6 @@ class IntMatrix:
             out.append([dot(r, c) for c in other_cols])
         return IntMatrix.from_rows(out, cols=other.cols)
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in matrix sum")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in matrix difference")
@@ -140,10 +145,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
-
-    def rank(self) -> int:
-        h, _ = hermite_normal_form(self)
-        return sum(1 for i in range(h.rows) if any(h.row(i)))
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
@@ -457,7 +458,10 @@ class FinAbGroup:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FinAbGroup":
-        return cls(torsion=tuple(int(x) for x in data["torsion"]), free_rank=int(data["free_rank"]))
+        return cls(
+            torsion=tuple(strict_int(x) for x in data["torsion"]),
+            free_rank=strict_int(data["free_rank"]),
+        )
 
     def __str__(self) -> str:
         parts = []
@@ -511,67 +515,6 @@ def relative_divisors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
         coords.append(c)
     coord_basis = row_basis(IntMatrix.from_rows(coords, cols=amb.rank))
     return [d for d in snf_divisors(coord_basis) if d]
-
-
-# ---------------------------------------------------------------------------
-# Rational solves (exact, via Fraction)
-# ---------------------------------------------------------------------------
-
-
-def solve_right(A: IntMatrix, b: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
-    """Solve A @ x = b over the rationals.
-
-    Returns None when the system is inconsistent.  Free variables (if the
-    solution is not unique) are set to zero.
-    """
-    if A.rows != len(b):
-        raise ValueError("right-hand side length does not match row count")
-    m = [[Fraction(A.at(i, j)) for j in range(A.cols)] + [Fraction(b[i])] for i in range(A.rows)]
-    rows, cols = A.rows, A.cols
-    pivot_cols = []
-    pr = 0
-    for col in range(cols):
-        piv = next((i for i in range(pr, rows) if m[i][col]), None)
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        inv = 1 / m[pr][col]
-        m[pr] = [x * inv for x in m[pr]]
-        for i in range(rows):
-            if i != pr and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[pr])]
-        pivot_cols.append(col)
-        pr += 1
-        if pr == rows:
-            break
-    for i in range(pr, rows):
-        if m[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for i, col in enumerate(pivot_cols):
-        x[col] = m[i][cols]
-    return tuple(x)
-
-
-def rational_inverse(M: IntMatrix) -> list[list[Fraction]]:
-    """Exact inverse of a nonsingular integer matrix."""
-    if M.rows != M.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = M.rows
-    m = [[Fraction(M.at(i, j)) for j in range(n)] + [Fraction(int(i == k)) for k in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if m[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
 
 
 def rank_mod_p(M: IntMatrix, p: int) -> int:

@@ -19,9 +19,9 @@ simply connected realization.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
@@ -32,9 +32,9 @@ from .intlin import (
     RowLattice,
     dot,
     quotient_group,
-    rational_inverse,
     row_basis,
-    solve_right,
+    smith_normal_form,
+    strict_int,
 )
 
 Vector = tuple[int, ...]
@@ -83,10 +83,11 @@ class RootDatum:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RootDatum":
+        """Inverse of :meth:`to_dict`; ValueError on any non-integer rank or entry."""
         return cls(
-            rank=int(data["rank"]),
-            roots=tuple(tuple(int(x) for x in r) for r in data["roots"]),
-            coroots=tuple(tuple(int(x) for x in c) for c in data["coroots"]),
+            rank=strict_int(data["rank"]),
+            roots=tuple(tuple(strict_int(x) for x in r) for r in data["roots"]),
+            coroots=tuple(tuple(strict_int(x) for x in c) for c in data["coroots"]),
         )
 
 
@@ -100,8 +101,8 @@ def _root_lookup(datum: RootDatum) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def validate(datum: RootDatum) -> list[str]:
-    """Check the root-datum axioms; return a list of violations (empty = ok)."""
+def _check_axioms(datum: RootDatum) -> list[str]:
+    """The full validator: every axiom, each reflection against every root."""
     v: list[str] = []
     roots, coroots = datum.roots, datum.coroots
 
@@ -150,13 +151,19 @@ def validate(datum: RootDatum) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _is_valid(datum: RootDatum) -> bool:
-    return not validate(datum)
+def _violations(datum: RootDatum) -> tuple[str, ...]:
+    return tuple(_check_axioms(datum))
+
+
+def validate(datum: RootDatum) -> list[str]:
+    """Check the root-datum axioms; return a list of violations (empty = ok)."""
+    return list(_violations(datum))
 
 
 def ensure_valid(datum: RootDatum) -> RootDatum:
-    if not _is_valid(datum):
-        raise ValueError("invalid root datum: " + "; ".join(validate(datum)))
+    violations = _violations(datum)
+    if violations:
+        raise ValueError("invalid root datum: " + "; ".join(violations))
     return datum
 
 
@@ -449,16 +456,33 @@ def simple_system(datum: RootDatum) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def root_coefficients(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of every root over the simple system (integer vectors)."""
+    """Coordinates of every root over the simple system (integer vectors).
+
+    Every root is the image of a simple root under a product of simple
+    reflections, so a breadth-first search from the base (unit vectors)
+    reaches all of them: reflecting beta in the i-th simple root subtracts
+    <beta, alpha_i^vee> e_i from the coefficients of beta.
+    """
     delta = simple_system(datum)
-    s_t = IntMatrix.from_rows([datum.roots[i] for i in delta], cols=datum.rank).transpose()
-    out = []
-    for r in datum.roots:
-        sol = solve_right(s_t, r)
-        if sol is None or any(f.denominator != 1 for f in sol):
-            raise NotARootSystemError("root outside the integer span of the base")
-        out.append(tuple(int(f) for f in sol))
-    return tuple(out)
+    roots, coroots = datum.roots, datum.coroots
+    lookup = {r: i for i, r in enumerate(roots)}
+    coeffs = {i: tuple(int(j == k) for j in range(len(delta))) for k, i in enumerate(delta)}
+    queue = list(delta)
+    for b in queue:
+        beta, c = roots[b], coeffs[b]
+        for k, a in enumerate(delta):
+            m = dot(beta, coroots[a])
+            if not m:
+                continue
+            j = lookup.get(tuple(x - m * y for x, y in zip(beta, roots[a])))
+            if j is None:
+                raise NotARootSystemError("simple reflection leaves the root set")
+            if j not in coeffs:
+                coeffs[j] = c[:k] + (c[k] - m,) + c[k + 1 :]
+                queue.append(j)
+    if len(coeffs) != datum.num_roots:
+        raise NotARootSystemError("root outside the Weyl orbit of the base")
+    return tuple(coeffs[i] for i in range(datum.num_roots))
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +502,6 @@ class Component:
     @property
     def label(self) -> tuple[str, int]:
         return (self.series, self.rank)
-
-
-def _graph_from_cartan(c: dict) -> dict:
-    nodes = sorted({i for i, _ in c})
-    adj = {i: [] for i in nodes}
-    for (i, j), v in c.items():
-        if i != j and v:
-            adj[i].append(j)
-    return adj
 
 
 def _bourbaki_order(nodes: list[int], c) -> tuple[str, int, list[int]]:
@@ -688,15 +703,20 @@ def cartan_type(datum: RootDatum) -> CartanType:
 # ---------------------------------------------------------------------------
 
 
+def _base_rows(datum: RootDatum, vectors: Sequence[Vector]) -> IntMatrix:
+    """The rows of ``vectors`` (the roots or the coroots) at the simple indices.
+
+    For a valid datum the simple roots span Z.roots and the simple coroots
+    span Z.coroots, so lattices and quotients can be taken on these |base|
+    rows instead of on all the roots.
+    """
+    return IntMatrix.from_rows([vectors[i] for i in simple_system(datum)], cols=datum.rank)
+
+
 @lru_cache(maxsize=None)
 def root_lattice(datum: RootDatum) -> RowLattice:
     """The lattice Z.roots inside X."""
-    return RowLattice(datum.root_matrix())
-
-
-@lru_cache(maxsize=None)
-def coroot_lattice(datum: RootDatum) -> RowLattice:
-    return RowLattice(datum.coroot_matrix())
+    return RowLattice(_base_rows(datum, datum.roots))
 
 
 def is_semisimple(datum: RootDatum) -> bool:
@@ -709,13 +729,13 @@ def is_semisimple(datum: RootDatum) -> bool:
 def x_mod_root_lattice(datum: RootDatum) -> FinAbGroup:
     """X / Z.roots as an abstract group."""
     ensure_valid(datum)
-    return quotient_group(datum.rank, datum.root_matrix())
+    return quotient_group(datum.rank, _base_rows(datum, datum.roots))
 
 
 @lru_cache(maxsize=None)
 def y_mod_coroot_lattice(datum: RootDatum) -> FinAbGroup:
     ensure_valid(datum)
-    return quotient_group(datum.rank, datum.coroot_matrix())
+    return quotient_group(datum.rank, _base_rows(datum, datum.coroots))
 
 
 @lru_cache(maxsize=None)
@@ -725,32 +745,25 @@ def _weight_lattice_scaled(datum: RootDatum) -> tuple[IntMatrix, int]:
     Lambda lives in the rational span of the roots: vectors pairing
     integrally with every coroot.  Row a of the returned matrix is D times
     the a-th fundamental weight, where D = |det P| clears denominators and
-    P is the pairing matrix of the base.
+    P is the pairing matrix of the base.  With the Smith form U P V =
+    diag(d_1, ..., d_n), D = d_1 ... d_n and D * P^-1 = V diag(D / d_i) U,
+    all in integers.
     """
     delta = simple_system(datum)
     n = len(delta)
     if n == 0:
         return IntMatrix.zeros(0, datum.rank), 1
-    s = IntMatrix.from_rows([datum.roots[i] for i in delta], cols=datum.rank)
     p = IntMatrix.from_rows(
         [[dot(datum.roots[a], datum.coroots[b]) for b in delta] for a in delta], cols=n
     )
-    det = p.det()
-    if det == 0:
+    snf = smith_normal_form(p)
+    if not all(snf.divisors):
         raise NotARootSystemError("singular pairing matrix on a base")
-    d = abs(det)
-    p_inv = rational_inverse(p)
-    rows = []
-    for a in range(n):
-        row = [Fraction(0)] * datum.rank
-        for cidx in range(n):
-            coeff = p_inv[a][cidx] * d
-            for k in range(datum.rank):
-                row[k] += coeff * s.at(cidx, k)
-        if any(f.denominator != 1 for f in row):
-            raise NotARootSystemError("weight lattice scaling failed")
-        rows.append([int(f) for f in row])
-    return IntMatrix.from_rows(rows, cols=datum.rank), d
+    d = math.prod(snf.divisors)
+    scaled_u = IntMatrix.from_rows(
+        [[d // di * x for x in snf.U.row(i)] for i, di in enumerate(snf.divisors)], cols=n
+    )
+    return snf.V @ scaled_u @ _base_rows(datum, datum.roots), d
 
 
 def weight_quotient_of_lattice(datum: RootDatum, sub_rows: IntMatrix) -> FinAbGroup:

@@ -9,7 +9,6 @@ with a random unimodular change of coordinates.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Optional
 
 from .intlin import IntMatrix, RowLattice, dot, hermite_normal_form
@@ -82,10 +81,10 @@ def _extend_lattice(rng: random.Random, base: RootDatum, blocks: list[tuple[int,
         new_roots.append(c)
     new_coroots = []
     for cr in base.coroots:
-        row = [Fraction(dot(b, cr), d) for b in basis]
-        if any(f.denominator != 1 for f in row):
+        row = [dot(b, cr) for b in basis]
+        if any(x % d for x in row):
             return None
-        new_coroots.append(tuple(int(f) for f in row))
+        new_coroots.append(tuple(x // d for x in row))
     return RootDatum(rank=r, roots=tuple(new_roots), coroots=tuple(new_coroots))
 
 

@@ -1,3 +1,6 @@
+import json
+import random
+
 import pytest
 
 from rootprimes.certificates import (
@@ -78,3 +81,34 @@ def test_pretty_good_kind_tracks_report():
 def test_rejects_non_prime():
     with pytest.raises(ValueError):
         build_certificate(preset("SC(A1)"), 4)
+
+
+# values of each JSON type other than the one a payload field holds
+WRONG_TYPED = {
+    int: ["3", 2.0, True, None, [2], {"value": 2}],
+    str: [0, None, True, ["primary"], {"side": "primary"}],
+    list: ["[0, 1]", 0, 1.5, None, True, {"0": 1}],
+    dict: ['{"torsion": []}', 0, 1.5, None, False, [[], 0]],
+}
+
+
+def test_mutated_payloads_fail_for_all_kinds():
+    rng = random.Random(7)
+    names = ["SC(A1)", "AD(A1)", "GL(2)", "SC(G2)", "AD(A3)", "Sum(AD(A2), SC(C2))", "SC(B3)", "GL(4)"]
+    pairs = [("SC(G2)", 2), ("AD(A1)", 2)] + [
+        (rng.choice(names), rng.choice(primes_upto(7))) for _ in range(12)
+    ]
+    kinds = set()
+    for name, p in pairs:
+        cert = build_certificate(preset(name), p)
+        kinds.add(cert.kind)
+        assert verify_certificate(cert)
+        for key, value in cert.payload.items():
+            dropped = json.loads(cert.to_json())
+            del dropped["payload"][key]
+            assert not verify_certificate(Certificate.from_dict(dropped)), (name, p, key)
+            for wrong in rng.sample(WRONG_TYPED[type(value)], 3):
+                mutated = json.loads(cert.to_json())
+                mutated["payload"][key] = wrong
+                assert not verify_certificate(Certificate.from_dict(mutated)), (name, p, key, wrong)
+    assert kinds == {PRETTY_GOOD_PROOF, CENTER_TORSION, BAD_PRIME_SUBSYSTEM, COXETER_TORSION}

@@ -31,6 +31,15 @@ def test_validate_malformed_json_exit_2(capsys, tmp_path):
     assert "error" in err
 
 
+def test_validate_non_integer_entries_exit_2(capsys, tmp_path):
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"rank": 1, "roots": [[1.7], [-2]], "coroots": [[True], [-1]]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "expected an integer" in err
+
+
 def test_unknown_datum_exit_2(capsys):
     code, _, err = run(capsys, "validate", "no/such/file.json")
     assert code == 2

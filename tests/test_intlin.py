@@ -20,7 +20,6 @@ from rootprimes.intlin import (
     row_basis,
     smith_normal_form,
     snf_divisors,
-    solve_right,
 )
 from rootprimes.sampling import random_int_matrix, random_unimodular
 
@@ -170,13 +169,6 @@ def test_relative_divisors_containment_error():
 def test_relative_divisors_redundant_generators():
     sub = IntMatrix.from_rows([[2, 0], [4, 0], [2, 0]], cols=2)
     assert relative_divisors(sub, IntMatrix.identity(2)) == [2]
-
-
-def test_solve_right():
-    a = IntMatrix.from_rows([[2, 0], [0, 3]])
-    x = solve_right(a, (4, 9))
-    assert x == (2, 3)
-    assert solve_right(IntMatrix.from_rows([[1], [1]], cols=1), (0, 1)) is None
 
 
 def test_rank_mod_p():

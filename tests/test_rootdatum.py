@@ -241,6 +241,22 @@ def test_json_round_trip():
     assert again == datum
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"rank": 1, "roots": [[1.7], [-2]], "coroots": [[True], [-1]]},
+        {"rank": 1, "roots": [[2], [-2]], "coroots": [[True], [-1]]},
+        {"rank": 1, "roots": [["2"], [-2]], "coroots": [[1], [-1]]},
+        {"rank": 1.0, "roots": [[2], [-2]], "coroots": [[1], [-1]]},
+        {"rank": "1", "roots": [[2], [-2]], "coroots": [[1], [-1]]},
+        {"rank": True, "roots": [[2], [-2]], "coroots": [[1], [-1]]},
+    ],
+)
+def test_from_dict_rejects_non_integers(data):
+    with pytest.raises(ValueError, match="expected an integer"):
+        RootDatum.from_dict(data)
+
+
 def test_component_recognition_rejects_garbage():
     from rootprimes.rootdatum import _bourbaki_order
 
