@@ -22,7 +22,16 @@ import json
 from dataclasses import dataclass
 
 from .errors import ClassificationGapError
-from .intlin import FinAbGroup, IntMatrix, is_prime, p_torsion_free, quotient_group, strict_int
+from .intlin import (
+    FinAbGroup,
+    IntMatrix,
+    is_prime,
+    p_torsion_free,
+    quotient_group,
+    strict_int,
+    strict_list,
+    strict_matrix,
+)
 from .primes import bad_primes, report, x_mod_root_lattice, y_mod_coroot_lattice
 from .rootdatum import RootDatum, components, dual, ensure_valid
 from .subsystems import (
@@ -159,16 +168,6 @@ def build_certificate(datum: RootDatum, p: int) -> Certificate:
     )
 
 
-def _list_of(value, parse=strict_int) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {value!r}")
-    return [parse(x) for x in value]
-
-
-def _int_matrix(value) -> IntMatrix:
-    return IntMatrix.from_rows(_list_of(value, _list_of))
-
-
 def _side(value) -> str:
     if value not in ("primary", "dual"):
         raise ValueError(f"side must be 'primary' or 'dual', got {value!r}")
@@ -178,7 +177,7 @@ def _side(value) -> str:
 # every payload field of each kind, with its strict parser
 _PAYLOAD_FIELDS = {
     PRETTY_GOOD_PROOF: {
-        "bad_primes": _list_of,
+        "bad_primes": strict_list,
         "x_mod_root_lattice": FinAbGroup.from_dict,
         "y_mod_coroot_lattice": FinAbGroup.from_dict,
     },
@@ -187,12 +186,12 @@ _PAYLOAD_FIELDS = {
         "component": strict_int,
         "node": strict_int,
         "crossed_coefficient": strict_int,
-        "subsystem": _list_of,
+        "subsystem": strict_list,
         "root_lattice_quotient": FinAbGroup.from_dict,
     },
     COXETER_TORSION: {
         "side": _side,
-        "weyl_matrix": _int_matrix,
+        "weyl_matrix": strict_matrix,
         "character_quotient": FinAbGroup.from_dict,
     },
 }
@@ -201,15 +200,16 @@ _PAYLOAD_FIELDS = {
 def verify_certificate(cert: Certificate) -> bool:
     """Re-run the named check from the embedded datum and payload.
 
-    Total: an invalid datum, a non-prime p, an unknown kind, or a payload
-    with a missing or mistyped field all give False.
+    Total: an invalid datum, a p that is not a prime (or too large to
+    decide), an unknown kind, or a payload with a missing or mistyped field
+    all give False.
     """
+    p = cert.p
     try:
         datum = ensure_valid(cert.datum)
+        if not is_prime(p):
+            return False
     except ValueError:
-        return False
-    p = cert.p
-    if not is_prime(p):
         return False
     try:
         fields = {key: parse(cert.payload[key]) for key, parse in _PAYLOAD_FIELDS[cert.kind].items()}

@@ -19,7 +19,7 @@ from functools import reduce
 
 from . import certificates, standardness
 from .errors import BadPrimeError, RootPrimesError
-from .intlin import IntMatrix, is_prime, primes_upto, smith_normal_form
+from .intlin import IntMatrix, is_prime, primes_upto, smith_normal_form, strict_matrix
 from .primes import failing_prime_bound, report
 from .rootdatum import RootDatum, direct_sum, dual, is_preset_name, preset, validate
 
@@ -53,8 +53,7 @@ def _load_matrix(arg: str) -> IntMatrix:
     else:
         text = arg
     try:
-        data = json.loads(text)
-        return IntMatrix.from_rows(data)
+        return strict_matrix(json.loads(text))
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read a matrix from {arg!r}: {exc}") from exc
 
@@ -66,7 +65,11 @@ def _parse_prime(text: str, allow_zero: bool = False) -> int:
         raise UsageError(f"{text!r} is not an integer") from exc
     if allow_zero and p == 0:
         return 0
-    if not is_prime(p):
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if not prime:
         raise UsageError(f"{p} is not prime")
     return p
 

@@ -36,6 +36,18 @@ def strict_int(value) -> int:
     return value
 
 
+def strict_list(value, parse=strict_int) -> list:
+    """``[parse(x) for x in value]`` for a list ``value``; TypeError for anything else."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return [parse(x) for x in value]
+
+
+def strict_matrix(value, cols: Optional[int] = None) -> IntMatrix:
+    """An IntMatrix from a list of lists of ints, parsed strictly (see strict_int)."""
+    return IntMatrix.from_rows(strict_list(value, strict_list), cols=cols)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major."""
@@ -546,18 +558,41 @@ def rank_mod_p(M: IntMatrix, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# the least strong pseudoprime to all 13 bases above (Sorenson and Webster,
+# Math. Comp. 86 (2017)); below it the Miller-Rabin test on them is exact
+MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Exact primality below MILLER_RABIN_LIMIT; ValueError above it.
+
+    Small-prime division settles n < 41**2; beyond that it is deterministic
+    Miller-Rabin on the first 13 prime bases.  Numbers with a prime factor
+    <= 41 are rejected at any size.
+    """
+    if n <= 41:
+        return n in _SMALL_PRIMES
+    if any(n % q == 0 for q in _SMALL_PRIMES):
         return False
-    if n < 4:
+    if n < 41 * 41:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality (limit {MILLER_RABIN_LIMIT})")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

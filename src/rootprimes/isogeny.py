@@ -14,7 +14,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .intlin import FinAbGroup, IntMatrix, is_prime, p_torsion_free, quotient_group
+from .intlin import (
+    FinAbGroup,
+    IntMatrix,
+    is_prime,
+    p_torsion_free,
+    quotient_group,
+    strict_int,
+    strict_matrix,
+)
 from .primes import pretty_good
 from .rootdatum import RootDatum, adjoint, cartan_matrix, ensure_valid, simply_connected
 
@@ -39,7 +47,7 @@ class Isogeny:
         return cls(
             source=RootDatum.from_dict(data["source"]),
             target=RootDatum.from_dict(data["target"]),
-            matrix=IntMatrix.from_rows(data["matrix"], cols=int(data["source"]["rank"])),
+            matrix=strict_matrix(data["matrix"], cols=strict_int(data["source"]["rank"])),
         )
 
 

@@ -91,7 +91,6 @@ def _check_prime(p: int):
 @lru_cache(maxsize=None)
 def bad_primes(datum: RootDatum) -> frozenset[int]:
     """Primes dividing some highest-root coefficient of some component."""
-    ensure_valid(datum)
     out: set[int] = set()
     for h in highest_roots(datum):
         for m in h.coefficients:
@@ -125,7 +124,6 @@ def _sublattice_classes(datum: RootDatum) -> tuple[IntMatrix, ...]:
     positive roots and deduplicates by Hermite basis.  The zero lattice
     (empty subset) is included.
     """
-    ensure_valid(datum)
     pos = positive_roots(datum)
     seen: dict[tuple, IntMatrix] = {}
     npos = len(pos)
@@ -219,7 +217,6 @@ def pretty_good(datum: RootDatum, p: int) -> bool:
     re-verified against :func:`pretty_good_bruteforce` by the test suite.
     """
     _check_prime(p)
-    ensure_valid(datum)
     if not good(datum, p):
         return False
     return p_torsion_free(x_mod_root_lattice(datum), p) and p_torsion_free(
@@ -230,13 +227,11 @@ def pretty_good(datum: RootDatum, p: int) -> bool:
 def center_smooth(datum: RootDatum, p: int) -> bool:
     """True when X/Z.roots has no p-torsion (the center's character group)."""
     _check_prime(p)
-    ensure_valid(datum)
     return p_torsion_free(x_mod_root_lattice(datum), p)
 
 
 def dual_center_smooth(datum: RootDatum, p: int) -> bool:
     _check_prime(p)
-    ensure_valid(datum)
     return p_torsion_free(y_mod_coroot_lattice(datum), p)
 
 
@@ -247,7 +242,6 @@ def failing_prime_bound(datum: RootDatum) -> TorsionBound:
     an invariant factor of X/Z.roots or Y/Z.coroots, so the maximum of those
     numbers works.
     """
-    ensure_valid(datum)
     candidates = [1]
     for h in highest_roots(datum):
         candidates.extend(h.coefficients)
@@ -259,7 +253,6 @@ def failing_prime_bound(datum: RootDatum) -> TorsionBound:
 def report(datum: RootDatum, p: int) -> PrimeReport:
     """Full classification of one prime."""
     _check_prime(p)
-    ensure_valid(datum)
     is_bad = p in bad_primes(datum)
     return PrimeReport(
         p=p,

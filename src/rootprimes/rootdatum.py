@@ -504,140 +504,51 @@ class Component:
         return (self.series, self.rank)
 
 
+def _first_match(
+    pairing: list[list[int]], catalog: list[tuple[int, ...]], order: tuple[int, ...] = ()
+) -> Optional[tuple[int, ...]]:
+    """Lexicographically first node order whose pairing matrix is ``catalog``, or None."""
+    a = len(order)
+    if a == len(catalog):
+        return order
+    # a catalog row attached to an earlier position draws only that node's neighbours
+    anchor = next((order[b] for b in range(a) if catalog[a][b]), None)
+    for x in range(len(pairing)):
+        if x in order or (anchor is not None and not pairing[anchor][x]):
+            continue
+        placed = order + (x,)
+        if all(pairing[x][y] == catalog[a][b] and pairing[y][x] == catalog[b][a] for b, y in enumerate(placed)):
+            found = _first_match(pairing, catalog, placed)
+            if found is not None:
+                return found
+    return None
+
+
 def _bourbaki_order(nodes: list[int], c) -> tuple[str, int, list[int]]:
     """Recognize one connected diagram and list its nodes in Bourbaki order.
 
     ``c(i, j)`` is the pairing <alpha_j, alpha_i^vee> between simple roots.
-    Raises NotARootSystemError when the diagram is not in the catalog.  Rank-2
-    diagrams with a double bond are reported as C2 (equal to B2 as a root
-    system), with the short root first; D2 never reaches this function because
-    it is disconnected, and a path of three nodes comes out as A3.
+    The catalog entries of the diagram's rank are tried in the order
+    A, C, B, D, E, F, G; the first whose Cartan matrix is the pairing matrix
+    in some node order wins, with the lexicographically first such order.
+    Raises NotARootSystemError when the diagram is not in the catalog.
     """
     k = len(nodes)
-    if k == 1:
-        return ("A", 1, list(nodes))
-
-    edges = {}
-    adj = {i: [] for i in nodes}
-    for i in nodes:
-        for j in nodes:
-            if i == j:
-                continue
-            cij, cji = c(i, j), c(j, i)
-            if (cij == 0) != (cji == 0):
-                raise NotARootSystemError("one-sided pairing between simple roots")
-            if cij:
-                if cij > 0 or cji > 0:
-                    raise NotARootSystemError("positive pairing between distinct simple roots")
-                if i < j:
-                    edges[(i, j)] = cij * cji
-                adj[i].append(j)
-
-    if len(edges) != k - 1:
-        raise NotARootSystemError("diagram is not a tree")
-    # connectivity is guaranteed by the caller (component construction)
-
-    marks = sorted(edges.values(), reverse=True)
-    if marks and marks[0] > 3:
-        raise NotARootSystemError("bond of multiplicity > 3")
-
-    def walk_path(start: int) -> list[int]:
-        order = [start]
-        prev = None
-        cur = start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                return order
-            if len(nxt) > 1:
-                raise NotARootSystemError("unexpected branch on a path")
-            prev, cur = cur, nxt[0]
-            order.append(cur)
-
-    degrees = {i: len(adj[i]) for i in nodes}
-    branch_nodes = [i for i in nodes if degrees[i] >= 3]
-    leaves = sorted(i for i in nodes if degrees[i] == 1)
-
-    if 3 in marks:
-        if k != 2 or marks != [3]:
-            raise NotARootSystemError("triple bond outside G2")
-        i, j = nodes
-        first = i if c(i, j) == -3 else j
-        second = j if first == i else i
-        if c(first, second) != -3:
-            raise NotARootSystemError("G2 orientation broken")
-        return ("G", 2, [first, second])
-
-    if 2 in marks:
-        if marks.count(2) != 1 or branch_nodes:
-            raise NotARootSystemError("diagram with a double bond must be a path with one double bond")
-        (u, w) = next(e for e, m in edges.items() if m == 2)
-        if k == 2:
-            # B2 = C2; canonical form is C2 with the short root first
-            first = u if c(u, w) == -2 else w
-            second = w if first == u else u
-            return ("C", 2, [first, second])
-        path = walk_path(leaves[0])
-        if len(path) != k:
-            raise NotARootSystemError("double-bond diagram is not a path")
-        pos_u, pos_w = path.index(u), path.index(w)
-        if abs(pos_u - pos_w) != 1:
-            raise NotARootSystemError("double bond endpoints not adjacent on the path")
-        if {pos_u, pos_w} == {k - 2, k - 1} or {pos_u, pos_w} == {0, 1}:
-            if 0 in (pos_u, pos_w):
-                path = path[::-1]
-            tail, end = path[-2], path[-1]
-            series = "B" if c(end, tail) == -2 else "C"
-            return (series, k, path)
-        if k == 4 and {pos_u, pos_w} == {1, 2}:
-            if c(path[1], path[2]) != -1:
-                path = path[::-1]
-            if c(path[1], path[2]) == -1 and c(path[2], path[1]) == -2:
-                return ("F", 4, path)
-        raise NotARootSystemError("double bond in an unrecognized position")
-
-    # simply laced
-    if not branch_nodes:
-        path = walk_path(leaves[0])
-        if len(path) != k:
-            raise NotARootSystemError("disconnected path")
-        if path[0] > path[-1]:
-            path = path[::-1]
-        return ("A", k, path)
-
-    if len(branch_nodes) != 1 or degrees[branch_nodes[0]] != 3:
-        raise NotARootSystemError("unrecognized branching")
-    b = branch_nodes[0]
-    arms = []
-    for first in adj[b]:
-        arm = [first]
-        prev, cur = b, first
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise NotARootSystemError("second branch point")
-            prev, cur = cur, nxt[0]
-            arm.append(cur)
-        arms.append(arm)
-    arms.sort(key=lambda a: (len(a), a[::-1]))
-    lengths = tuple(len(a) for a in arms)
-
-    if lengths[0] == 1 and lengths[1] == 1:
-        # D_n: the two short arms are the end leaves, the long arm leads in
-        long_arm = arms[2] if len(arms[2]) > 1 else None
-        short = sorted([arms[0][0], arms[1][0]] + ([] if long_arm else [arms[2][0]]))
-        if long_arm is None:
-            # D4: all arms are single nodes
-            return ("D", 4, [short[0], b, short[1], short[2]])
-        order = long_arm[::-1] + [b] + short
-        return ("D", k, order)
-    if lengths == (1, 2, 2) or lengths == (1, 2, 3) or lengths == (1, 2, 4):
-        one_arm, two_arm, long_arm = arms
-        order = [two_arm[1], one_arm[0], two_arm[0], b] + long_arm
-        return ("E", k, order)
-    raise NotARootSystemError(f"branching with arm lengths {lengths} is not in the catalog")
+    pairing = [[c(i, j) for j in nodes] for i in nodes]
+    rows = sorted(sorted(row) for row in pairing)
+    det = IntMatrix.from_rows(pairing, cols=k).det()
+    # A before D and C before B, so A3 = D3 comes out as A3 and B2 = C2 as C2
+    for series in "ACBDEFG":
+        if not _SERIES_RANKS[series](k):
+            continue
+        catalog = cartan_matrix(series, k)
+        catalog_rows = [catalog.row(a) for a in range(k)]
+        if sorted(sorted(row) for row in catalog_rows) != rows or catalog.det() != det:
+            continue
+        order = _first_match(pairing, catalog_rows)
+        if order is not None:
+            return (series, k, [nodes[x] for x in order])
+    raise NotARootSystemError("diagram is not in the Cartan catalog")
 
 
 @lru_cache(maxsize=None)
@@ -645,11 +556,11 @@ def components(datum: RootDatum) -> tuple[Component, ...]:
     """Partition of the roots into irreducible components with Cartan types.
 
     Components are connected classes of roots under nonvanishing pairing.
-    Each one carries its simple roots in Bourbaki node order; the pairing
-    matrix in that order is checked against the catalog entry, so a mismatch
-    anywhere raises NotARootSystemError.
+    Each one carries its simple roots in Bourbaki node order: the order in
+    which their pairing matrix is the catalog Cartan matrix, so a component
+    outside the catalog raises NotARootSystemError.
     """
-    ensure_valid(datum)
+    delta = simple_system(datum)
     n = datum.num_roots
     parent = list(range(n))
 
@@ -673,23 +584,14 @@ def components(datum: RootDatum) -> tuple[Component, ...]:
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
 
-    delta = simple_system(datum)
+    def pairing(i, j):
+        return dot(datum.roots[j], datum.coroots[i])
+
     out = []
     for rep in sorted(groups, key=lambda r: min(groups[r])):
         indices = tuple(sorted(groups[rep]))
         comp_simple = [i for i in delta if i in set(indices)]
-
-        def pairing(i, j):
-            return dot(datum.roots[j], datum.coroots[i])
-
         series, rank, ordered = _bourbaki_order(comp_simple, pairing)
-        catalog = cartan_matrix(series, rank)
-        for a in range(rank):
-            for b in range(rank):
-                if pairing(ordered[a], ordered[b]) != catalog.at(a, b):
-                    raise NotARootSystemError(
-                        f"component pairing matrix does not match catalog {series}{rank}"
-                    )
         out.append(Component(series=series, rank=rank, root_indices=indices, simple_indices=tuple(ordered)))
     return tuple(out)
 
@@ -721,20 +623,17 @@ def root_lattice(datum: RootDatum) -> RowLattice:
 
 def is_semisimple(datum: RootDatum) -> bool:
     """True when the roots span a finite-index sublattice of X."""
-    ensure_valid(datum)
     return root_lattice(datum).rank == datum.rank
 
 
 @lru_cache(maxsize=None)
 def x_mod_root_lattice(datum: RootDatum) -> FinAbGroup:
     """X / Z.roots as an abstract group."""
-    ensure_valid(datum)
     return quotient_group(datum.rank, _base_rows(datum, datum.roots))
 
 
 @lru_cache(maxsize=None)
 def y_mod_coroot_lattice(datum: RootDatum) -> FinAbGroup:
-    ensure_valid(datum)
     return quotient_group(datum.rank, _base_rows(datum, datum.coroots))
 
 

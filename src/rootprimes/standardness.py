@@ -94,7 +94,6 @@ def decompose(datum: RootDatum, p: int) -> Decomposition:
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    ensure_valid(datum)
     if p in bad_primes(datum):
         raise BadPrimeError(f"{p} is a bad prime for this datum")
     a_blocks = []

@@ -73,7 +73,6 @@ class HighestRoot:
 @lru_cache(maxsize=None)
 def highest_roots(datum: RootDatum) -> tuple[HighestRoot, ...]:
     """Per component, the positive root dominating all others coefficientwise."""
-    ensure_valid(datum)
     comps = components(datum)
     coeffs = root_coefficients(datum)
     delta = simple_system(datum)
@@ -101,7 +100,6 @@ def cross_out_node(datum: RootDatum, component: int, node: int) -> RootSubset:
     component's highest root; the returned subset is the subsystem generated
     from it by reflections, which is closed and symmetric.
     """
-    ensure_valid(datum)
     comps = components(datum)
     if not comps:
         raise ValueError("datum has no roots, nothing to cross out")
@@ -203,7 +201,6 @@ def coxeter_element_type_a(datum: RootDatum) -> WeylElement:
     simple roots in Bourbaki path order.  Raises NonTypeAError when any
     component is not of type A.
     """
-    ensure_valid(datum)
     comps = components(datum)
     bad = [c.label for c in comps if c.series != "A"]
     if bad:
@@ -217,7 +214,6 @@ def coxeter_closed_form_type_a(datum: RootDatum) -> WeylElement:
     s(x) = x - sum over components i and path positions j of
     (sum over k >= j of <x, a_ik^vee>) a_ij.
     """
-    ensure_valid(datum)
     comps = components(datum)
     bad = [c.label for c in comps if c.series != "A"]
     if bad:

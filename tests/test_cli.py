@@ -1,4 +1,5 @@
 import json
+import time
 
 from rootprimes.cli import main
 
@@ -141,6 +142,32 @@ def test_snf_inline_and_file(capsys, tmp_path):
     assert json.loads(out)["divisors"] == [1, 1]
     code, _, err = run(capsys, "snf", "not a matrix")
     assert code == 2
+
+
+def test_snf_non_integer_entries_exit_2(capsys):
+    code, out, err = run(capsys, "snf", "[[1.7, true], [0, 2.9]]")
+    assert code == 2
+    assert out == ""
+    assert "expected an integer" in err
+
+
+def test_certificate_at_a_large_prime_finishes(capsys):
+    from rootprimes.certificates import Certificate, verify_certificate
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "certificate", "SC(A1)", str(2**61 - 1))
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    cert = Certificate.from_json(out)
+    assert cert.kind == "pretty-good-proof" and verify_certificate(cert)
+
+
+def test_prime_above_miller_rabin_limit_exit_2(capsys):
+    p = "5000000000000000000000003"  # 25 digits, no prime factor <= 41
+    for argv in (["certificate", "SC(A1)", p], ["classify", "SC(A1)", p], ["decompose", "SC(A1)", p]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "too large" in err
 
 
 def test_usage_error_exit_2(capsys):

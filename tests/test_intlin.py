@@ -6,6 +6,7 @@ import pytest
 
 from rootprimes.errors import ContainmentError
 from rootprimes.intlin import (
+    MILLER_RABIN_LIMIT,
     FinAbGroup,
     IntMatrix,
     RowLattice,
@@ -20,6 +21,7 @@ from rootprimes.intlin import (
     row_basis,
     smith_normal_form,
     snf_divisors,
+    strict_matrix,
 )
 from rootprimes.sampling import random_int_matrix, random_unimodular
 
@@ -183,6 +185,33 @@ def test_prime_utilities():
     assert prime_factors(360) == (2, 3, 5)
     assert prime_factors(0) == ()
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_the_sieve():
+    sieve = set(primes_upto(10**5))
+    assert all(is_prime(n) == (n in sieve) for n in range(-5, 10**5 + 1))
+
+
+def test_is_prime_miller_rabin_range():
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    # strong pseudoprimes to the first 8 and 11 prime bases (Jaeschke)
+    assert not is_prime(341550071728321) and not is_prime(3825123056546413051)
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+    # the bound itself is a strong pseudoprime to all 13 bases: refused
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(MILLER_RABIN_LIMIT)
+    assert not is_prime(2 * MILLER_RABIN_LIMIT)  # a small factor decides at any size
+
+
+def test_strict_matrix():
+    assert strict_matrix([[1, 2], [3, 4]]) == IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert strict_matrix([], cols=3) == IntMatrix.zeros(0, 3)
+    for bad in ([[1.7, 1]], [[True]], [["1"]]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            strict_matrix(bad)
+    for bad in ([1, 2], "[[1]]", [(1, 2)]):
+        with pytest.raises(TypeError, match="expected a list"):
+            strict_matrix(bad)
 
 
 def test_bareiss_determinant():

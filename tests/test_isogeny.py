@@ -103,3 +103,13 @@ def test_json_round_trip():
     iso = adjoint_to_simply_connected("G", 2)
     again = Isogeny.from_dict(iso.to_dict())
     assert again == iso
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"matrix": [[1.9]]}, {"matrix": [[True]]}, {"matrix": [["1"]]}],
+)
+def test_from_dict_rejects_non_integer_matrices(change):
+    data = {**_doubling_a1().to_dict(), **change}
+    with pytest.raises(ValueError, match="expected an integer"):
+        Isogeny.from_dict(data)

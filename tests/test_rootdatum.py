@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -19,6 +20,8 @@ from rootprimes.rootdatum import (
     validate,
     weight_lattice_quotients,
 )
+from rootprimes.sampling import random_unimodular
+from rootprimes.selftest import RANK8_PRESETS
 
 # classical root counts: the closed-form formulas are the independent oracle
 # for the reflection-closure enumeration
@@ -268,3 +271,49 @@ def test_component_recognition_rejects_garbage():
 
     with pytest.raises(NotARootSystemError):
         _bourbaki_order([0, 1, 2, 3], cyc)
+
+
+def _first_catalog_order(datum, nodes, series, rank):
+    """Brute force: the lexicographically least node order giving the catalog matrix."""
+    catalog = cartan_matrix(series, rank)
+    for order in permutations(sorted(nodes)):
+        if all(
+            datum.pairing(order[j], order[i]) == catalog.at(i, j)
+            for i in range(rank)
+            for j in range(rank)
+        ):
+            return order
+    return None
+
+
+def test_component_order_is_the_least_catalog_order():
+    rng = random.Random(5)
+    data = []
+    for name in RANK8_PRESETS:
+        datum = preset(name)
+        if all(c.rank > 6 for c in components(datum)):
+            continue
+        t, tinv = random_unimodular(rng, datum.rank)
+        tinv_t = tinv.transpose()
+        moved = RootDatum(
+            rank=datum.rank,
+            roots=tuple(t.apply(r) for r in datum.roots),
+            coroots=tuple(tinv_t.apply(c) for c in datum.coroots),
+        )
+        data += [(name, datum), (name, dual(datum)), (name, moved)]
+    checked = 0
+    for name, datum in data:
+        for comp in components(datum):
+            if comp.rank > 6:
+                continue
+            nodes = comp.simple_indices
+            assert _first_catalog_order(datum, nodes, *comp.label) == nodes, (name, comp.label)
+            # no series tried earlier (A, C, B, D, E, F, G) fits the diagram
+            for series in "ACBDEFG"[: "ACBDEFG".index(comp.series)]:
+                try:
+                    earlier = _first_catalog_order(datum, nodes, series, comp.rank)
+                except ValueError:  # the series has no entry of this rank
+                    continue
+                assert earlier is None, (name, comp.label, series)
+            checked += 1
+    assert checked > 150
