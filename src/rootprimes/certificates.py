@@ -32,8 +32,14 @@ from .intlin import (
     strict_list,
     strict_matrix,
 )
-from .primes import bad_primes, report, x_mod_root_lattice, y_mod_coroot_lattice
-from .rootdatum import RootDatum, components, dual, ensure_valid
+from .primes import (
+    bad_primes,
+    failing_type_a_positions,
+    report,
+    x_mod_root_lattice,
+    y_mod_coroot_lattice,
+)
+from .rootdatum import RootDatum, components, dual, ensure_valid, root_coefficients, simple_system
 from .subsystems import (
     WeylElement,
     _coxeter_for_components,
@@ -78,30 +84,19 @@ class Certificate:
 
 
 def _root_lattice_quotient(datum: RootDatum, subset_indices) -> FinAbGroup:
-    """Z.roots / Z.subset for a subset of root indices."""
-    from .rootdatum import root_lattice
+    """Z.roots / Z.subset for a subset of root indices.
 
-    anchor = root_lattice(datum)
-    rows = []
-    for i in subset_indices:
-        c = anchor.coords(datum.roots[i])
-        if c is None:
-            raise ValueError("subset root outside the root lattice")
-        rows.append(c)
-    return quotient_group(anchor.rank, IntMatrix.from_rows(rows, cols=anchor.rank))
-
-
-def _failing_type_a_positions(datum: RootDatum, p: int) -> list[int]:
-    return [
-        ci
-        for ci, comp in enumerate(components(datum))
-        if comp.series == "A" and (comp.rank + 1) % p == 0
-    ]
+    The base is a Z-basis of Z.roots, so the subset's coefficient rows over
+    it present the quotient.
+    """
+    coeffs = root_coefficients(datum)
+    n = len(simple_system(datum))
+    return quotient_group(n, IntMatrix.from_rows([coeffs[i] for i in subset_indices], cols=n))
 
 
 def _coxeter_witness(datum: RootDatum, p: int):
     """(weyl element, X/(s-1)X) for the p-failing type-A part, or None."""
-    failing = _failing_type_a_positions(datum, p)
+    failing = failing_type_a_positions(datum, p)
     if not failing:
         return None
     s = _coxeter_for_components(datum, failing)

@@ -25,6 +25,9 @@ from .rootdatum import RootDatum, direct_sum, dual, is_preset_name, preset, vali
 
 OK, NEGATIVE, USAGE = 0, 1, 2
 
+# largest top of a ``primes`` sweep; the sieve allocates one byte per integer
+MAX_SWEEP_PRIME = 10**6
+
 
 class UsageError(Exception):
     pass
@@ -34,14 +37,14 @@ def _load_datum(arg: str) -> RootDatum:
     if is_preset_name(arg):
         try:
             return preset(arg)
-        except ValueError as exc:
+        except (RecursionError, ValueError) as exc:
             raise UsageError(str(exc)) from exc
     if os.path.exists(arg):
         try:
             with open(arg, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             return RootDatum.from_dict(data)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read datum from {arg}: {exc}") from exc
     raise UsageError(f"{arg!r} is neither a preset name nor an existing file")
 
@@ -54,7 +57,7 @@ def _load_matrix(arg: str) -> IntMatrix:
         text = arg
     try:
         return strict_matrix(json.loads(text))
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read a matrix from {arg!r}: {exc}") from exc
 
 
@@ -102,6 +105,8 @@ def cmd_primes(args) -> int:
         return NEGATIVE
     bound = failing_prime_bound(datum).bound
     top = max(args.max_prime if args.max_prime is not None else 23, bound)
+    if top > MAX_SWEEP_PRIME:
+        raise UsageError(f"sweep top {top} exceeds the limit {MAX_SWEEP_PRIME}")
     rows = [report(datum, p) for p in primes_upto(top)]
     payload = [r.to_dict() for r in rows]
     text = [
@@ -203,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("primes", cmd_primes, "classify every prime up to the failing bound")
     p.add_argument("datum")
     p.add_argument("--max-prime", type=int, default=None,
-                   help="sweep primes up to max(this, failing bound); default 23")
+                   help=f"sweep primes up to max(this, failing bound), at most {MAX_SWEEP_PRIME}; default 23")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", default=True)
     group.add_argument("--text", dest="json", action="store_false")

@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from .errors import TooLargeError
 from .intlin import (
-    FinAbGroup,
     IntMatrix,
     is_prime,
     p_torsion_free,
@@ -103,11 +102,14 @@ def good(datum: RootDatum, p: int) -> bool:
     return p not in bad_primes(datum)
 
 
+def failing_type_a_positions(datum: RootDatum, p: int) -> list[int]:
+    """Positions in ``components(datum)`` of the type-A_n components with p | n+1."""
+    return [ci for ci, c in enumerate(components(datum)) if c.series == "A" and (c.rank + 1) % p == 0]
+
+
 def very_good(datum: RootDatum, p: int) -> bool:
     """Good, and p does not divide n+1 for any type-A_n component."""
-    if not good(datum, p):
-        return False
-    return all(not (c.series == "A" and (c.rank + 1) % p == 0) for c in components(datum))
+    return good(datum, p) and not failing_type_a_positions(datum, p)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,8 @@ class RootDatum:
         return dot(self.roots[i], self.coroots[j])
 
     def root_index(self, vec: Sequence[int]) -> Optional[int]:
-        return _root_lookup(self).get(tuple(vec))
+        vec = tuple(vec)
+        return next((i for i, r in enumerate(self.roots) if r == vec), None)
 
     def to_dict(self) -> dict:
         return {
@@ -89,11 +90,6 @@ class RootDatum:
             roots=tuple(tuple(strict_int(x) for x in r) for r in data["roots"]),
             coroots=tuple(tuple(strict_int(x) for x in c) for c in data["coroots"]),
         )
-
-
-@lru_cache(maxsize=None)
-def _root_lookup(datum: RootDatum) -> dict:
-    return {r: i for i, r in enumerate(datum.roots)}
 
 
 # ---------------------------------------------------------------------------
@@ -555,44 +551,43 @@ def _bourbaki_order(nodes: list[int], c) -> tuple[str, int, list[int]]:
 def components(datum: RootDatum) -> tuple[Component, ...]:
     """Partition of the roots into irreducible components with Cartan types.
 
-    Components are connected classes of roots under nonvanishing pairing.
-    Each one carries its simple roots in Bourbaki node order: the order in
-    which their pairing matrix is the catalog Cartan matrix, so a component
+    Read off the base: two simple roots lie in one component when their
+    pairing is nonzero, and each root lies in the component of the first
+    simple root in its support (the first nonzero entry of its
+    :func:`root_coefficients` row), since the support of a root is
+    connected.  Components are ordered by their smallest root index.  Each
+    one carries its simple roots in Bourbaki node order: the order in which
+    their pairing matrix is the catalog Cartan matrix, so a component
     outside the catalog raises NotARootSystemError.
     """
     delta = simple_system(datum)
-    n = datum.num_roots
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dot(datum.roots[i], datum.coroots[j]):
-                union(i, j)
-
+    roots, coroots = datum.roots, datum.coroots
+    # label each base column with the first column of its connected class
+    label: dict[int, int] = {}
+    for k in range(len(delta)):
+        if k in label:
+            continue
+        label[k] = k
+        stack = [k]
+        while stack:
+            a = stack.pop()
+            for b in range(len(delta)):
+                if b not in label and dot(roots[delta[b]], coroots[delta[a]]):
+                    label[b] = k
+                    stack.append(b)
+    # insertion order is the order of each group's smallest root index
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for i, row in enumerate(root_coefficients(datum)):
+        groups.setdefault(label[next(k for k, c in enumerate(row) if c)], []).append(i)
 
     def pairing(i, j):
-        return dot(datum.roots[j], datum.coroots[i])
+        return dot(roots[j], coroots[i])
 
     out = []
-    for rep in sorted(groups, key=lambda r: min(groups[r])):
-        indices = tuple(sorted(groups[rep]))
-        comp_simple = [i for i in delta if i in set(indices)]
+    for first, indices in groups.items():
+        comp_simple = [delta[k] for k in range(len(delta)) if label[k] == first]
         series, rank, ordered = _bourbaki_order(comp_simple, pairing)
-        out.append(Component(series=series, rank=rank, root_indices=indices, simple_indices=tuple(ordered)))
+        out.append(Component(series=series, rank=rank, root_indices=tuple(indices), simple_indices=tuple(ordered)))
     return tuple(out)
 
 
@@ -622,8 +617,8 @@ def root_lattice(datum: RootDatum) -> RowLattice:
 
 
 def is_semisimple(datum: RootDatum) -> bool:
-    """True when the roots span a finite-index sublattice of X."""
-    return root_lattice(datum).rank == datum.rank
+    """True when the roots span a finite-index sublattice of X: the base has ``rank`` roots."""
+    return len(simple_system(datum)) == datum.rank
 
 
 @lru_cache(maxsize=None)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import BadPrimeError
 from .intlin import IntMatrix, is_prime, rank_mod_p, snf_divisors
-from .primes import bad_primes, pretty_good, very_good
-from .rootdatum import RootDatum, components, ensure_valid, root_lattice
+from .primes import bad_primes, failing_type_a_positions, pretty_good
+from .rootdatum import RootDatum, components, ensure_valid, simple_system
 
 STANDARD = "essentially standard (all four conditions hold)"
 NOT_STANDARD = "not essentially standard"
@@ -96,14 +96,11 @@ def decompose(datum: RootDatum, p: int) -> Decomposition:
         raise ValueError(f"{p} is not prime")
     if p in bad_primes(datum):
         raise BadPrimeError(f"{p} is a bad prime for this datum")
-    a_blocks = []
-    vg_blocks = []
-    for comp in components(datum):
-        if comp.series == "A" and (comp.rank + 1) % p == 0:
-            a_blocks.append(comp.rank)
-        else:
-            vg_blocks.append(comp.label)
-    torus_rank = datum.rank - root_lattice(datum).rank
+    failing = failing_type_a_positions(datum, p)
+    comps = components(datum)
+    a_blocks = [comp.rank for ci, comp in enumerate(comps) if ci in failing]
+    vg_blocks = [comp.label for ci, comp in enumerate(comps) if ci not in failing]
+    torus_rank = datum.rank - len(simple_system(datum))
     return Decomposition(
         torus_rank=torus_rank,
         a_blocks=tuple(a_blocks),

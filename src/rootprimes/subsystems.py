@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import NonTypeAError
-from .intlin import FinAbGroup, IntMatrix, RowLattice, dot, quotient_group, relative_divisors
+from .intlin import FinAbGroup, IntMatrix, RowLattice, quotient_group, relative_divisors
 from .rootdatum import (
     RootDatum,
     components,
@@ -93,12 +93,17 @@ def highest_roots(datum: RootDatum) -> tuple[HighestRoot, ...]:
 
 
 def cross_out_node(datum: RootDatum, component: int, node: int) -> RootSubset:
-    """Borel-de Siebenthal crossing: drop one simple root, add the lowest root.
+    """Borel-de Siebenthal crossing of one node of the extended diagram.
 
     ``node`` positions into the chosen component's Bourbaki-ordered simple
-    roots.  The new base is (Delta minus that root) plus the negative of the
-    component's highest root; the returned subset is the subsystem generated
-    from it by reflections, which is closed and symmetric.
+    roots; let m be its highest-root coefficient and k its column in
+    :func:`simple_system` order.  The returned subsystem, which is closed
+    and symmetric, is every root outside the component plus each root of
+    the component whose k-th coefficient is divisible by m.  This is the
+    subsystem with base (Delta minus that root) plus the lowest root: the
+    fixed points of the order-m inner automorphism with Kac coordinates e_k
+    (Kac, Infinite-dimensional Lie algebras, 8.6; Borel-de Siebenthal,
+    Comment. Math. Helv. 23, 1949).
     """
     comps = components(datum)
     if not comps:
@@ -108,11 +113,13 @@ def cross_out_node(datum: RootDatum, component: int, node: int) -> RootSubset:
     comp = comps[component]
     if not 0 <= node < len(comp.simple_indices):
         raise ValueError(f"node index {node} out of range for component {comp.series}{comp.rank}")
-    crossed = comp.simple_indices[node]
-    beta = highest_roots(datum)[component].root_index
-    lowest = datum.root_index(tuple(-x for x in datum.roots[beta]))
-    base = [i for i in simple_system(datum) if i != crossed] + [lowest]
-    return _reflection_generated(datum, base)
+    k = simple_system(datum).index(comp.simple_indices[node])
+    m = highest_roots(datum)[component].coefficients[node]
+    inside = set(comp.root_indices)
+    coeffs = root_coefficients(datum)
+    return RootSubset(
+        datum, frozenset(i for i in range(datum.num_roots) if i not in inside or coeffs[i][k] % m == 0)
+    )
 
 
 def cross_out_for_prime(datum: RootDatum, p: int):
@@ -126,24 +133,6 @@ def cross_out_for_prime(datum: RootDatum, p: int):
             if m % p == 0:
                 return cross_out_node(datum, h.component, node), h.component, node, m
     return None
-
-
-def _reflection_generated(datum: RootDatum, base: Sequence[int]) -> RootSubset:
-    """Orbit of ``base`` under the reflections through the base roots."""
-    gens = [(datum.roots[i], datum.coroots[i]) for i in base]
-    lookup = {r: i for i, r in enumerate(datum.roots)}
-    seen = set(base)
-    queue = [datum.roots[i] for i in base]
-    while queue:
-        x = queue.pop()
-        for a, av in gens:
-            k = dot(x, av)
-            y = tuple(xx - k * aa for xx, aa in zip(x, a))
-            j = lookup[y]
-            if j not in seen:
-                seen.add(j)
-                queue.append(y)
-    return RootSubset(datum, frozenset(seen))
 
 
 # ---------------------------------------------------------------------------

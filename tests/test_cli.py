@@ -170,6 +170,33 @@ def test_prime_above_miller_rabin_limit_exit_2(capsys):
         assert out == "" and "too large" in err
 
 
+def test_deeply_nested_preset_exit_2(capsys):
+    name = "Sum(" * 600 + "SC(A1)" + ")" * 600
+    code, out, err = run(capsys, "validate", name)
+    assert code == 2
+    assert out == "" and "recursion depth" in err and "Traceback" not in err
+
+
+def test_deeply_nested_json_exit_2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"rank": ' + "[" * 10000 + "]" * 10000 + "}")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == "" and "recursion depth" in err and "Traceback" not in err
+    path.write_text("[" * 10000 + "]" * 10000)
+    code, out, err = run(capsys, "snf", str(path))
+    assert code == 2
+    assert out == "" and "recursion depth" in err and "Traceback" not in err
+
+
+def test_primes_sweep_above_the_cap_exit_2(capsys):
+    from rootprimes.cli import MAX_SWEEP_PRIME
+
+    code, out, err = run(capsys, "primes", "SC(A1)", "--max-prime", str(MAX_SWEEP_PRIME + 1))
+    assert code == 2
+    assert out == "" and "exceeds the limit" in err
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
