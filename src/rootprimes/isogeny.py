@@ -11,7 +11,6 @@ quotient of the simply connected group by its center.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .intlin import (
@@ -98,14 +97,10 @@ def validate_isogeny(iso: Isogeny) -> list[str]:
     return v
 
 
-@lru_cache(maxsize=None)
-def _is_valid(iso: Isogeny) -> bool:
-    return not validate_isogeny(iso)
-
-
 def ensure_valid_isogeny(iso: Isogeny) -> Isogeny:
-    if not _is_valid(iso):
-        raise ValueError("invalid isogeny: " + "; ".join(validate_isogeny(iso)))
+    violations = validate_isogeny(iso)
+    if violations:
+        raise ValueError("invalid isogeny: " + "; ".join(violations))
     return iso
 
 

@@ -23,22 +23,22 @@ from .intlin import (
     IntMatrix,
     is_prime,
     p_torsion_free,
-    prime_factors,
     quotient_group,
     row_basis,
 )
 from .rootdatum import (
     RootDatum,
+    bad_primes,
     components,
     dual,
     ensure_valid,
+    highest_roots,
     positive_roots,
     root_lattice,
     weight_quotient_of_lattice,
     x_mod_root_lattice,
     y_mod_coroot_lattice,
 )
-from .subsystems import highest_roots
 
 
 @dataclass(frozen=True)
@@ -85,16 +85,6 @@ class TorsionBound:
 def _check_prime(p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-
-
-@lru_cache(maxsize=None)
-def bad_primes(datum: RootDatum) -> frozenset[int]:
-    """Primes dividing some highest-root coefficient of some component."""
-    out: set[int] = set()
-    for h in highest_roots(datum):
-        for m in h.coefficients:
-            out.update(prime_factors(m))
-    return frozenset(out)
 
 
 def good(datum: RootDatum, p: int) -> bool:

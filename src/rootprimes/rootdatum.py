@@ -9,7 +9,9 @@ Y-coordinates, and index i matches root with coroot.
 Axioms checked by :func:`validate`: the pairing of a root with its own coroot
 is 2, and each reflection ``x -> x - <x, a^vee> a`` permutes the root set
 (dually for coroots).  Data are required to be reduced (no root is twice
-another).
+another).  The data derived from a datum (its violations, base, root
+coefficients, components, highest roots, bad primes, X/Z.roots and
+Y/Z.coroots) are computed together on first use and kept in one record.
 
 Cartan matrices follow the convention ``C[i][j] = <alpha_j, alpha_i^vee>``,
 with Bourbaki Planche node numbering (Groupes et algebres de Lie, ch. VI),
@@ -19,7 +21,6 @@ simply connected realization.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -31,9 +32,9 @@ from .intlin import (
     IntMatrix,
     RowLattice,
     dot,
+    prime_factors,
     quotient_group,
     row_basis,
-    smith_normal_form,
     strict_int,
 )
 
@@ -146,20 +147,13 @@ def _check_axioms(datum: RootDatum) -> list[str]:
     return v
 
 
-@lru_cache(maxsize=None)
-def _violations(datum: RootDatum) -> tuple[str, ...]:
-    return tuple(_check_axioms(datum))
-
-
 def validate(datum: RootDatum) -> list[str]:
     """Check the root-datum axioms; return a list of violations (empty = ok)."""
-    return list(_violations(datum))
+    return list(_record(datum).violations)
 
 
 def ensure_valid(datum: RootDatum) -> RootDatum:
-    violations = _violations(datum)
-    if violations:
-        raise ValueError("invalid root datum: " + "; ".join(violations))
+    _valid(datum)
     return datum
 
 
@@ -401,87 +395,6 @@ def is_preset_name(text: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Simple systems
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def positive_roots(datum: RootDatum) -> tuple[int, ...]:
-    """Indices of the positive roots under a deterministic generic functional.
-
-    The functional is lexicographically weighted, ``w = (N^(r-1), ..., N, 1)``
-    with ``N = 1 + max |coordinate|``; since every coordinate is smaller than
-    N in absolute value it cannot vanish on a nonzero root, but the guard
-    loop keeps bumping N just in case.
-    """
-    ensure_valid(datum)
-    roots = datum.roots
-    if not roots:
-        return ()
-    rank = datum.rank
-    n_bound = 1 + max(abs(x) for r in roots for x in r)
-    while True:
-        w = [n_bound ** (rank - 1 - i) for i in range(rank)]
-        vals = [dot(w, r) for r in roots]
-        if all(vals):
-            break
-        n_bound += 1
-    return tuple(i for i, v in enumerate(vals) if v > 0)
-
-
-@lru_cache(maxsize=None)
-def simple_system(datum: RootDatum) -> tuple[int, ...]:
-    """Indices of a base of the root system, ascending.
-
-    The simple roots are the positive roots (see :func:`positive_roots`)
-    that are not sums of two positive roots.
-    """
-    roots = datum.roots
-    positive = positive_roots(datum)
-    pos_set = {roots[i] for i in positive}
-    simple = []
-    for i in positive:
-        r = roots[i]
-        decomposable = any(
-            tuple(x - y for x, y in zip(r, roots[j])) in pos_set for j in positive if j != i
-        )
-        if not decomposable:
-            simple.append(i)
-    return tuple(simple)
-
-
-@lru_cache(maxsize=None)
-def root_coefficients(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of every root over the simple system (integer vectors).
-
-    Every root is the image of a simple root under a product of simple
-    reflections, so a breadth-first search from the base (unit vectors)
-    reaches all of them: reflecting beta in the i-th simple root subtracts
-    <beta, alpha_i^vee> e_i from the coefficients of beta.
-    """
-    delta = simple_system(datum)
-    roots, coroots = datum.roots, datum.coroots
-    lookup = {r: i for i, r in enumerate(roots)}
-    coeffs = {i: tuple(int(j == k) for j in range(len(delta))) for k, i in enumerate(delta)}
-    queue = list(delta)
-    for b in queue:
-        beta, c = roots[b], coeffs[b]
-        for k, a in enumerate(delta):
-            m = dot(beta, coroots[a])
-            if not m:
-                continue
-            j = lookup.get(tuple(x - m * y for x, y in zip(beta, roots[a])))
-            if j is None:
-                raise NotARootSystemError("simple reflection leaves the root set")
-            if j not in coeffs:
-                coeffs[j] = c[:k] + (c[k] - m,) + c[k + 1 :]
-                queue.append(j)
-    if len(coeffs) != datum.num_roots:
-        raise NotARootSystemError("root outside the Weyl orbit of the base")
-    return tuple(coeffs[i] for i in range(datum.num_roots))
-
-
-# ---------------------------------------------------------------------------
 # Irreducible components and type recognition
 # ---------------------------------------------------------------------------
 
@@ -498,6 +411,13 @@ class Component:
     @property
     def label(self) -> tuple[str, int]:
         return (self.series, self.rank)
+
+
+@dataclass(frozen=True)
+class HighestRoot:
+    component: int  # position in components(datum)
+    root_index: int
+    coefficients: tuple[int, ...]  # over the component's simple roots, Bourbaki order
 
 
 def _first_match(
@@ -547,7 +467,157 @@ def _bourbaki_order(nodes: list[int], c) -> tuple[str, int, list[int]]:
     raise NotARootSystemError("diagram is not in the Cartan catalog")
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------------------
+# Derived data: one record per datum, built on its first use
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Derived:
+    violations: tuple[str, ...]
+    positive: tuple[int, ...] = ()
+    simple: tuple[int, ...] = ()
+    coefficients: tuple[tuple[int, ...], ...] = ()
+    components: tuple[Component, ...] = ()
+    highest_roots: tuple[HighestRoot, ...] = ()
+    bad_primes: frozenset[int] = frozenset()
+    x_mod_root_lattice: Optional[FinAbGroup] = None
+    y_mod_coroot_lattice: Optional[FinAbGroup] = None
+
+
+_DERIVED: dict[RootDatum, _Derived] = {}
+
+
+def _record(datum: RootDatum) -> _Derived:
+    rec = _DERIVED.get(datum)
+    if rec is None:
+        rec = _DERIVED[datum] = _derive(datum)
+    return rec
+
+
+def _valid(datum: RootDatum) -> _Derived:
+    rec = _record(datum)
+    if rec.violations:
+        raise ValueError("invalid root datum: " + "; ".join(rec.violations))
+    return rec
+
+
+def _base_rows(rank: int, vectors: Sequence[Vector], simple: Sequence[int]) -> IntMatrix:
+    # Z.roots = Z.simple roots and Z.coroots = Z.simple coroots, so lattices
+    # and quotients are taken on these rows instead of on all the roots
+    return IntMatrix.from_rows([vectors[i] for i in simple], cols=rank)
+
+
+def _derive(datum: RootDatum) -> _Derived:
+    # swapping the sides keeps the axioms, so a valid dual vouches for the datum;
+    # otherwise the full validator runs and words the violations
+    twin = _DERIVED.get(dual(datum))
+    if twin is None or twin.violations:
+        violations = tuple(_check_axioms(datum))
+        if violations:
+            return _Derived(violations)
+    rank, roots, coroots = datum.rank, datum.roots, datum.coroots
+    positive = tuple(i for i, r in enumerate(roots) if next(x for x in r if x) > 0)
+    pos_set = {roots[i] for i in positive}
+    simple = tuple(
+        i for i in positive
+        if not any(tuple(x - y for x, y in zip(roots[i], roots[j])) in pos_set for j in positive if j != i)
+    )
+
+    lookup = {r: i for i, r in enumerate(roots)}
+    coeffs = {i: tuple(int(j == k) for j in range(len(simple))) for k, i in enumerate(simple)}
+    queue = list(simple)
+    for b in queue:
+        beta, c = roots[b], coeffs[b]
+        for k, a in enumerate(simple):
+            m = dot(beta, coroots[a])
+            if not m:
+                continue
+            j = lookup.get(tuple(x - m * y for x, y in zip(beta, roots[a])))
+            if j is None:
+                raise NotARootSystemError("simple reflection leaves the root set")
+            if j not in coeffs:
+                coeffs[j] = c[:k] + (c[k] - m,) + c[k + 1 :]
+                queue.append(j)
+    if len(coeffs) != len(roots):
+        raise NotARootSystemError("root outside the Weyl orbit of the base")
+    coefficients = tuple(coeffs[i] for i in range(len(roots)))
+
+    # label each base column with the first column of its connected class
+    label: dict[int, int] = {}
+    for k in range(len(simple)):
+        if k in label:
+            continue
+        label[k] = k
+        stack = [k]
+        while stack:
+            a = stack.pop()
+            for b in range(len(simple)):
+                if b not in label and dot(roots[simple[b]], coroots[simple[a]]):
+                    label[b] = k
+                    stack.append(b)
+    # insertion order is the order of each group's smallest root index
+    groups: dict[int, list[int]] = {}
+    for i, row in enumerate(coefficients):
+        groups.setdefault(label[next(k for k, c in enumerate(row) if c)], []).append(i)
+    comps = []
+    for first, indices in groups.items():
+        nodes = [simple[k] for k in range(len(simple)) if label[k] == first]
+        series, n, ordered = _bourbaki_order(nodes, lambda i, j: dot(roots[j], coroots[i]))
+        comps.append(Component(series, n, tuple(indices), tuple(ordered)))
+
+    column = {i: k for k, i in enumerate(simple)}
+    highest = []
+    for ci, comp in enumerate(comps):
+        cols = [column[i] for i in comp.simple_indices]
+        vectors = {i: tuple(coefficients[i][c] for c in cols) for i in comp.root_indices if roots[i] in pos_set}
+        best = max(vectors, key=lambda i: sum(vectors[i]))
+        if any(a > b for v in vectors.values() for a, b in zip(v, vectors[best])):
+            raise AssertionError("no dominating root in an irreducible component")
+        highest.append(HighestRoot(ci, best, vectors[best]))
+
+    return _Derived(
+        (),
+        positive,
+        simple,
+        coefficients,
+        tuple(comps),
+        tuple(highest),
+        frozenset(q for h in highest for m in h.coefficients for q in prime_factors(m)),
+        quotient_group(rank, _base_rows(rank, roots, simple)),
+        quotient_group(rank, _base_rows(rank, coroots, simple)),
+    )
+
+
+def positive_roots(datum: RootDatum) -> tuple[int, ...]:
+    """Indices of the positive roots: those whose first nonzero coordinate is positive.
+
+    This is the sign of a lexicographic functional, which vanishes on no
+    root since no root is zero.
+    """
+    return _valid(datum).positive
+
+
+def simple_system(datum: RootDatum) -> tuple[int, ...]:
+    """Indices of a base of the root system, ascending.
+
+    The simple roots are the positive roots (see :func:`positive_roots`)
+    that are not sums of two positive roots.
+    """
+    return _valid(datum).simple
+
+
+def root_coefficients(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of every root over the simple system (integer vectors).
+
+    Every root is the image of a simple root under a product of simple
+    reflections, so a breadth-first search from the base (unit vectors)
+    reaches all of them: reflecting beta in the i-th simple root subtracts
+    <beta, alpha_i^vee> e_i from the coefficients of beta.
+    """
+    return _valid(datum).coefficients
+
+
 def components(datum: RootDatum) -> tuple[Component, ...]:
     """Partition of the roots into irreducible components with Cartan types.
 
@@ -560,35 +630,17 @@ def components(datum: RootDatum) -> tuple[Component, ...]:
     their pairing matrix is the catalog Cartan matrix, so a component
     outside the catalog raises NotARootSystemError.
     """
-    delta = simple_system(datum)
-    roots, coroots = datum.roots, datum.coroots
-    # label each base column with the first column of its connected class
-    label: dict[int, int] = {}
-    for k in range(len(delta)):
-        if k in label:
-            continue
-        label[k] = k
-        stack = [k]
-        while stack:
-            a = stack.pop()
-            for b in range(len(delta)):
-                if b not in label and dot(roots[delta[b]], coroots[delta[a]]):
-                    label[b] = k
-                    stack.append(b)
-    # insertion order is the order of each group's smallest root index
-    groups: dict[int, list[int]] = {}
-    for i, row in enumerate(root_coefficients(datum)):
-        groups.setdefault(label[next(k for k, c in enumerate(row) if c)], []).append(i)
+    return _valid(datum).components
 
-    def pairing(i, j):
-        return dot(roots[j], coroots[i])
 
-    out = []
-    for first, indices in groups.items():
-        comp_simple = [delta[k] for k in range(len(delta)) if label[k] == first]
-        series, rank, ordered = _bourbaki_order(comp_simple, pairing)
-        out.append(Component(series=series, rank=rank, root_indices=tuple(indices), simple_indices=tuple(ordered)))
-    return tuple(out)
+def highest_roots(datum: RootDatum) -> tuple[HighestRoot, ...]:
+    """Per component, the positive root dominating all others coefficientwise."""
+    return _valid(datum).highest_roots
+
+
+def bad_primes(datum: RootDatum) -> frozenset[int]:
+    """Primes dividing some highest-root coefficient of some component."""
+    return _valid(datum).bad_primes
 
 
 def cartan_type(datum: RootDatum) -> CartanType:
@@ -600,20 +652,9 @@ def cartan_type(datum: RootDatum) -> CartanType:
 # ---------------------------------------------------------------------------
 
 
-def _base_rows(datum: RootDatum, vectors: Sequence[Vector]) -> IntMatrix:
-    """The rows of ``vectors`` (the roots or the coroots) at the simple indices.
-
-    For a valid datum the simple roots span Z.roots and the simple coroots
-    span Z.coroots, so lattices and quotients can be taken on these |base|
-    rows instead of on all the roots.
-    """
-    return IntMatrix.from_rows([vectors[i] for i in simple_system(datum)], cols=datum.rank)
-
-
-@lru_cache(maxsize=None)
 def root_lattice(datum: RootDatum) -> RowLattice:
     """The lattice Z.roots inside X."""
-    return RowLattice(_base_rows(datum, datum.roots))
+    return RowLattice(_base_rows(datum.rank, datum.roots, simple_system(datum)))
 
 
 def is_semisimple(datum: RootDatum) -> bool:
@@ -621,62 +662,29 @@ def is_semisimple(datum: RootDatum) -> bool:
     return len(simple_system(datum)) == datum.rank
 
 
-@lru_cache(maxsize=None)
 def x_mod_root_lattice(datum: RootDatum) -> FinAbGroup:
     """X / Z.roots as an abstract group."""
-    return quotient_group(datum.rank, _base_rows(datum, datum.roots))
+    return _valid(datum).x_mod_root_lattice
 
 
-@lru_cache(maxsize=None)
 def y_mod_coroot_lattice(datum: RootDatum) -> FinAbGroup:
-    return quotient_group(datum.rank, _base_rows(datum, datum.coroots))
-
-
-@lru_cache(maxsize=None)
-def _weight_lattice_scaled(datum: RootDatum) -> tuple[IntMatrix, int]:
-    """(rows of D * Lambda in X-coordinates, D) for the weight lattice Lambda.
-
-    Lambda lives in the rational span of the roots: vectors pairing
-    integrally with every coroot.  Row a of the returned matrix is D times
-    the a-th fundamental weight, where D = |det P| clears denominators and
-    P is the pairing matrix of the base.  With the Smith form U P V =
-    diag(d_1, ..., d_n), D = d_1 ... d_n and D * P^-1 = V diag(D / d_i) U,
-    all in integers.
-    """
-    delta = simple_system(datum)
-    n = len(delta)
-    if n == 0:
-        return IntMatrix.zeros(0, datum.rank), 1
-    p = IntMatrix.from_rows(
-        [[dot(datum.roots[a], datum.coroots[b]) for b in delta] for a in delta], cols=n
-    )
-    snf = smith_normal_form(p)
-    if not all(snf.divisors):
-        raise NotARootSystemError("singular pairing matrix on a base")
-    d = math.prod(snf.divisors)
-    scaled_u = IntMatrix.from_rows(
-        [[d // di * x for x in snf.U.row(i)] for i, di in enumerate(snf.divisors)], cols=n
-    )
-    return snf.V @ scaled_u @ _base_rows(datum, datum.roots), d
+    return _valid(datum).y_mod_coroot_lattice
 
 
 def weight_quotient_of_lattice(datum: RootDatum, sub_rows: IntMatrix) -> FinAbGroup:
-    """Lambda / L for a sublattice L of the weight lattice, rows in X-coords."""
-    lam, d = _weight_lattice_scaled(datum)
-    if lam.rows == 0:
-        if row_basis(sub_rows).rows:
-            raise ValueError("nonzero sublattice but the weight lattice is zero")
-        return FinAbGroup((), 0)
-    big = RowLattice(lam)
-    coords = []
-    basis = row_basis(sub_rows)
-    for i in range(basis.rows):
-        scaled = tuple(d * x for x in basis.row(i))
-        c = big.coords(scaled)
-        if c is None:
-            raise ValueError("sublattice is not inside the weight lattice")
-        coords.append(c)
-    return quotient_group(big.rank, IntMatrix.from_rows(coords, cols=big.rank))
+    """Lambda / L for a sublattice L of the weight lattice, rows in X-coords.
+
+    Pairing with the simple coroots is injective on the rational span of the
+    roots and maps Lambda onto Z^|base|, each fundamental weight to a unit
+    vector, so Lambda / L is Z^|base| modulo the pairings of L's rows.  A
+    row outside the rational span of the roots, which is all of X when the
+    datum is semisimple, raises ValueError.
+    """
+    simple = simple_system(datum)
+    stacked = [datum.roots[i] for i in simple] + sub_rows.to_rows()
+    if len(simple) < datum.rank and row_basis(IntMatrix.from_rows(stacked, cols=datum.rank)).rows > len(simple):
+        raise ValueError("sublattice is not inside the weight lattice")
+    return quotient_group(len(simple), sub_rows @ _base_rows(datum.rank, datum.coroots, simple).transpose())
 
 
 def weight_lattice_quotients(datum: RootDatum, subset: Iterable[int]) -> FinAbGroup:

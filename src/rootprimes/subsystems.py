@@ -8,16 +8,16 @@ type-A products together with the torsion of their fixed-point lattices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import NonTypeAError
 from .intlin import FinAbGroup, IntMatrix, RowLattice, quotient_group, relative_divisors
 from .rootdatum import (
+    HighestRoot,
     RootDatum,
     components,
     ensure_valid,
-    positive_roots,
+    highest_roots,
     root_coefficients,
     simple_system,
 )
@@ -61,35 +61,6 @@ def span_closure(subset: RootSubset) -> RootSubset:
         return RootSubset(datum, frozenset())
     closed = frozenset(i for i, r in enumerate(datum.roots) if r in lattice)
     return RootSubset(datum, closed)
-
-
-@dataclass(frozen=True)
-class HighestRoot:
-    component: int  # position in components(datum)
-    root_index: int
-    coefficients: tuple[int, ...]  # over the component's simple roots, Bourbaki order
-
-
-@lru_cache(maxsize=None)
-def highest_roots(datum: RootDatum) -> tuple[HighestRoot, ...]:
-    """Per component, the positive root dominating all others coefficientwise."""
-    comps = components(datum)
-    coeffs = root_coefficients(datum)
-    delta = simple_system(datum)
-    delta_pos = {idx: k for k, idx in enumerate(delta)}
-    pos = set(positive_roots(datum))
-    out = []
-    for ci, comp in enumerate(comps):
-        cols = [delta_pos[i] for i in comp.simple_indices]
-        comp_pos = [i for i in comp.root_indices if i in pos]
-        vectors = {i: tuple(coeffs[i][c] for c in cols) for i in comp_pos}
-        best = max(comp_pos, key=lambda i: sum(vectors[i]))
-        top = vectors[best]
-        for i in comp_pos:
-            if any(a > b for a, b in zip(vectors[i], top)):
-                raise AssertionError("no dominating root in an irreducible component")
-        out.append(HighestRoot(component=ci, root_index=best, coefficients=top))
-    return tuple(out)
 
 
 def cross_out_node(datum: RootDatum, component: int, node: int) -> RootSubset:

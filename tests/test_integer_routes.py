@@ -1,33 +1,42 @@
 """The integer-only derivations in rootdatum against references kept here.
 
-Root coefficients come from a breadth-first search along simple reflections,
-the weight lattice from a Smith form of the base's pairing matrix, and the
+Positive roots come from the sign of the first nonzero coordinate, root
+coefficients from a breadth-first search along simple reflections, the
+weight quotient Lambda / L from pairing L with the simple coroots, and the
 quotients X/Z.roots, Y/Z.coroots from the simple rows only.  Each is checked
-against a direct computation over all roots or over the rationals.
+against a weighted functional, a direct computation over all roots or one
+over the rationals.  The derived record is checked to run the full
+validator once per datum, and not at all on the dual of a valid datum.
 """
 
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from rootprimes import rootdatum
+from rootprimes import cli, rootdatum
 from rootprimes.errors import NotARootSystemError
 from rootprimes.intlin import IntMatrix, RowLattice, quotient_group
 from rootprimes.primes import report
 from rootprimes.rootdatum import (
     RootDatum,
-    _weight_lattice_scaled,
+    direct_sum,
     dual,
+    general_linear,
+    positive_roots,
     preset,
     root_coefficients,
     root_lattice,
     simple_system,
+    torus,
     validate,
+    weight_quotient_of_lattice,
     x_mod_root_lattice,
     y_mod_coroot_lattice,
 )
-from rootprimes.sampling import random_type_a_datum
+from rootprimes.sampling import random_type_a_datum, random_unimodular
 from rootprimes.selftest import RANK8_PRESETS
 
 
@@ -76,7 +85,7 @@ def test_root_coefficients_reject_a_root_outside_the_weyl_orbit(monkeypatch):
         with pytest.raises(NotARootSystemError, match="Weyl orbit"):
             root_coefficients(stray)
     finally:
-        rootdatum._violations.cache_clear()
+        rootdatum._DERIVED.pop(stray, None)
 
 
 def test_quotients_on_the_base_equal_quotients_over_all_roots():
@@ -86,32 +95,84 @@ def test_quotients_on_the_base_equal_quotients_over_all_roots():
         assert root_lattice(d).key() == RowLattice(d.root_matrix()).key()
 
 
-def test_weight_lattice_matches_a_rational_inverse():
+def _weight_lattice_reference(d):
+    """(D * Lambda, D) as the rows D * P^-1 * S, where P is the base's pairing
+    matrix, S its simple roots and D = |det P|."""
+    delta = simple_system(d)
+    p = [[d.pairing(a, b) for b in delta] for a in delta]
+    scale = abs(IntMatrix.from_rows(p, cols=len(delta)).det())
+    p_inv = _rational_inverse(p)
+    lam = []
+    for a in range(len(delta)):
+        row = [
+            sum(p_inv[a][c] * scale * d.roots[delta[c]][k] for c in range(len(delta)))
+            for k in range(d.rank)
+        ]
+        assert all(f.denominator == 1 for f in row)
+        lam.append([int(f) for f in row])
+    return RowLattice(IntMatrix.from_rows(lam, cols=d.rank)), scale
+
+
+def test_weight_quotient_matches_a_rational_inverse():
+    rng = random.Random(5)
     for d in DATA:
-        delta = simple_system(d)
-        lam, scale = _weight_lattice_scaled(d)
-        if not delta:
-            assert (lam.rows, scale) == (0, 1)
-            continue
-        p = [[d.pairing(a, b) for b in delta] for a in delta]
-        scale_ref = abs(IntMatrix.from_rows(p).det())
-        p_inv = _rational_inverse(p)
-        expected = []
-        for a in range(len(delta)):
-            row = [
-                sum(p_inv[a][c] * scale_ref * d.roots[delta[c]][k] for c in range(len(delta)))
-                for k in range(d.rank)
-            ]
-            assert all(f.denominator == 1 for f in row)
-            expected.append([int(f) for f in row])
-        assert scale == scale_ref
-        assert lam.to_rows() == expected
+        big, scale = _weight_lattice_reference(d)
+        n = d.num_roots
+        for subset in [range(0), range(n)] + [rng.sample(range(n), rng.randint(1, n)) for _ in range(2) if n]:
+            rows = [d.roots[i] for i in sorted(subset)]
+            coords = [big.coords(tuple(scale * x for x in row)) for row in rows]
+            expected = quotient_group(big.rank, IntMatrix.from_rows(coords, cols=big.rank))
+            assert weight_quotient_of_lattice(d, IntMatrix.from_rows(rows, cols=d.rank)) == expected
 
 
-def test_validate_then_report_runs_the_full_validator_once(monkeypatch):
-    # reversing the pairs gives a datum no earlier test has put in the caches
-    e6 = preset("SC(E6)")
-    datum = RootDatum(rank=e6.rank, roots=e6.roots[::-1], coroots=e6.coroots[::-1])
+def test_weight_quotient_rejects_rows_outside_the_span_of_the_roots():
+    outside = ((general_linear(2), (1, 1)), (torus(2), (0, 1)), (preset("Sum(SC(A2), Torus(1))"), (1, 0, 1)))
+    for d, row in outside:
+        with pytest.raises(ValueError, match="not inside the weight lattice"):
+            weight_quotient_of_lattice(d, IntMatrix.from_rows([row], cols=d.rank))
+
+
+def _weighted_positive_roots(d):
+    """Positive under the functional w = (N^(r-1), ..., N, 1), N = 1 + max |coordinate|."""
+    if not d.roots:
+        return ()
+    n = 1 + max(abs(x) for r in d.roots for x in r)
+    values = [sum(n ** (d.rank - 1 - k) * x for k, x in enumerate(r)) for r in d.roots]
+    assert all(values)
+    return tuple(i for i, v in enumerate(values) if v > 0)
+
+
+def _rebased(d, rng):
+    """The datum in a random basis of X: roots go to T r, coroots to T^-T c."""
+    t, tinv = random_unimodular(rng, d.rank)
+    tinv_t = tinv.transpose()
+    return RootDatum(d.rank, tuple(t.apply(r) for r in d.roots), tuple(tinv_t.apply(c) for c in d.coroots))
+
+
+def test_positive_roots_match_the_weighted_functional():
+    rng = random.Random(6)
+    small = [d for d in DATA if d.num_roots <= 48]
+    for d in DATA + [_rebased(d, rng) for d in small]:
+        assert positive_roots(d) == _weighted_positive_roots(d)
+    assert positive_roots(torus(3)) == ()
+
+
+def test_primes_on_a_wide_torus_factor_is_fast(tmp_path, capsys):
+    # the weighted functional took N^(rank-1)-sized weights: about 12 s and
+    # 270 MB at rank 50,000, where the sign rule takes well under a second
+    wide = direct_sum(preset("SC(A1)"), torus(49_999))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide.to_dict()))
+    start = time.perf_counter()
+    assert cli.main(["primes", str(path)]) == 0
+    elapsed = time.perf_counter() - start
+    wide_out = capsys.readouterr().out
+    assert cli.main(["primes", "Sum(SC(A1), Torus(1))"]) == 0
+    assert wide_out == capsys.readouterr().out
+    assert elapsed < 3
+
+
+def _counting_validator(monkeypatch):
     calls = []
     full = rootdatum._check_axioms
 
@@ -120,6 +181,34 @@ def test_validate_then_report_runs_the_full_validator_once(monkeypatch):
         return full(d)
 
     monkeypatch.setattr(rootdatum, "_check_axioms", counting)
+    return calls
+
+
+def test_validate_then_report_runs_the_full_validator_once(monkeypatch):
+    # reversing the pairs gives a datum no earlier test has put in the memo
+    e6 = preset("SC(E6)")
+    datum = RootDatum(rank=e6.rank, roots=e6.roots[::-1], coroots=e6.coroots[::-1])
+    calls = _counting_validator(monkeypatch)
     assert validate(datum) == []
     report(datum, 3)
     assert calls.count(datum) == 1
+
+
+def test_the_dual_of_a_validated_datum_is_not_validated_again(monkeypatch):
+    # rotating the pairs gives a datum no earlier test has put in the memo
+    f4 = preset("SC(F4)")
+    datum = RootDatum(f4.rank, f4.roots[1:] + f4.roots[:1], f4.coroots[1:] + f4.coroots[:1])
+    calls = _counting_validator(monkeypatch)
+    assert validate(datum) == []
+    report(dual(datum), 3)
+    assert calls == [datum]
+
+
+def test_the_dual_of_an_invalid_datum_runs_the_full_validator(monkeypatch):
+    # <(0,1), (2,1)> = 1 sends the root (0,1) to (-1,1), which is not a root
+    datum = RootDatum(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), ((2, 1), (-2, -1), (0, 2), (0, -2)))
+    expected = rootdatum._check_axioms(dual(datum))
+    calls = _counting_validator(monkeypatch)
+    assert validate(datum)
+    assert validate(dual(datum)) == expected != []
+    assert calls == [datum, dual(datum)]
