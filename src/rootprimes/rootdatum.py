@@ -6,12 +6,15 @@ identified with Z^r via a fixed pair of dual bases, so the pairing is the
 ordinary dot product: ``roots[i]`` holds X-coordinates, ``coroots[i]`` holds
 Y-coordinates, and index i matches root with coroot.
 
-Axioms checked by :func:`validate`: the pairing of a root with its own coroot
-is 2, and each reflection ``x -> x - <x, a^vee> a`` permutes the root set
-(dually for coroots).  Data are required to be reduced (no root is twice
-another).  The data derived from a datum (its violations, base, root
-coefficients, components, highest roots, bad primes, X/Z.roots and
-Y/Z.coroots) are computed together on first use and kept in one record.
+Axioms checked by :func:`validate`: the roots are distinct, the pairing of a
+root with its own coroot is 2, -a is a root with coroot -a^vee, no root is
+twice another (data are reduced), and each reflection
+``x -> x - <x, a^vee> a`` permutes the roots while its dual
+``y -> y - <a, y> a^vee`` permutes the coroots.  The last axiom is checked
+through the simple reflections only; see :func:`validate`.  The data derived
+from a datum (its violations, base, root coefficients, components, highest
+roots, bad primes, X/Z.roots and Y/Z.coroots) are computed together on first
+use and kept in one record.
 
 Cartan matrices follow the convention ``C[i][j] = <alpha_j, alpha_i^vee>``,
 with Bourbaki Planche node numbering (Groupes et algebres de Lie, ch. VI),
@@ -148,7 +151,24 @@ def _check_axioms(datum: RootDatum) -> list[str]:
 
 
 def validate(datum: RootDatum) -> list[str]:
-    """Check the root-datum axioms; return a list of violations (empty = ok)."""
+    """Check the root-datum axioms; return a list of violations (empty = ok).
+
+    The axioms on single pairs (distinct roots, <a, a^vee> = 2, -a listed
+    with coroot -a^vee, no 2a listed) are checked directly.  Reflection
+    stability is checked on the base a_1, ..., a_l only, by the search that
+    computes :func:`root_coefficients`: for every root b it reaches and
+    every simple root a_i, s_i(b) must be a root whose coroot is
+    s_i^vee(b^vee) (so <b, a_i^vee> = 0 forces <a_i, b^vee> = 0), and the
+    search must reach every root.  That suffices.  As <a_i, a_i^vee> = 2,
+    s_i and s_i^vee are involutions with <s_i x, y> = <x, s_i^vee y>, so for
+    a word w in the s_i and the same word w^vee in the s_i^vee the pairing
+    is invariant, <w x, w^vee y> = <x, y>.  Each s_i carries listed pairs to
+    listed pairs, so the search writes every root as a = w a_j with
+    a^vee = w^vee a_j^vee, and then s_a = w s_j w^-1 permutes the roots and
+    s_a^vee = w^vee s_j^vee (w^vee)^-1 the coroots.  Only a datum failing
+    this check runs the full validator, each reflection against every root,
+    which words the violations.
+    """
     return list(_record(datum).violations)
 
 
@@ -508,40 +528,81 @@ def _base_rows(rank: int, vectors: Sequence[Vector], simple: Sequence[int]) -> I
     return IntMatrix.from_rows([vectors[i] for i in simple], cols=rank)
 
 
+def _pairs_hold(datum: RootDatum, lookup: dict[Vector, int]) -> bool:
+    """The axioms on single pairs, in O(|roots| rank); ``lookup`` indexes the roots."""
+    roots, coroots = datum.roots, datum.coroots
+    if len(lookup) != len(roots):
+        return False
+    for r, c in zip(roots, coroots):
+        # <r, c> = 2 also rules out a zero root
+        j = lookup.get(tuple(-x for x in r))
+        if dot(r, c) != 2 or j is None or coroots[j] != tuple(-x for x in c) or tuple(2 * x for x in r) in lookup:
+            return False
+    return True
+
+
+def _walk_from_base(
+    roots: Sequence[Vector],
+    coroots: Sequence[Vector],
+    lookup: dict[Vector, int],
+    simple: Sequence[int],
+    check: bool,
+) -> tuple[tuple[int, ...], ...]:
+    """Root coefficients by a search along simple reflections (see :func:`root_coefficients`).
+
+    With ``check`` it also asks that each simple reflection carry the coroot
+    of every root to the coroot of its image (see :func:`validate`).
+    """
+    coeffs = {i: tuple(int(j == k) for j in range(len(simple))) for k, i in enumerate(simple)}
+    queue = list(simple)
+    for b in queue:
+        beta, beta_v, c = roots[b], coroots[b], coeffs[b]
+        for k, a in enumerate(simple):
+            m = dot(beta, coroots[a])
+            n = dot(roots[a], beta_v) if check else 0
+            if not m:
+                if n:
+                    raise NotARootSystemError("simple reflection fixes a root but moves its coroot")
+                continue
+            j = lookup.get(tuple(x - m * y for x, y in zip(beta, roots[a])))
+            if j is None:
+                raise NotARootSystemError("simple reflection leaves the root set")
+            if check and coroots[j] != tuple(x - n * y for x, y in zip(beta_v, coroots[a])):
+                raise NotARootSystemError("simple reflection does not carry a coroot to its image's coroot")
+            if j not in coeffs:
+                coeffs[j] = c[:k] + (c[k] - m,) + c[k + 1 :]
+                queue.append(j)
+    if len(coeffs) != len(roots):
+        raise NotARootSystemError("root outside the Weyl orbit of the base")
+    return tuple(coeffs[i] for i in range(len(roots)))
+
+
 def _derive(datum: RootDatum) -> _Derived:
-    # swapping the sides keeps the axioms, so a valid dual vouches for the datum;
-    # otherwise the full validator runs and words the violations
+    rank, roots, coroots = datum.rank, datum.roots, datum.coroots
+    lookup = {r: i for i, r in enumerate(roots)}
+    # swapping the sides keeps the axioms, so a valid dual vouches for the
+    # datum; otherwise the fast check of validate() runs, and where it fails
+    # the full validator words the violations
     twin = _DERIVED.get(dual(datum))
-    if twin is None or twin.violations:
+    check = twin is None or bool(twin.violations)
+    if check and not _pairs_hold(datum, lookup):
         violations = tuple(_check_axioms(datum))
         if violations:
             return _Derived(violations)
-    rank, roots, coroots = datum.rank, datum.roots, datum.coroots
+        check = False  # the full validator has accepted the datum
     positive = tuple(i for i, r in enumerate(roots) if next(x for x in r if x) > 0)
     pos_set = {roots[i] for i in positive}
     simple = tuple(
         i for i in positive
         if not any(tuple(x - y for x, y in zip(roots[i], roots[j])) in pos_set for j in positive if j != i)
     )
-
-    lookup = {r: i for i, r in enumerate(roots)}
-    coeffs = {i: tuple(int(j == k) for j in range(len(simple))) for k, i in enumerate(simple)}
-    queue = list(simple)
-    for b in queue:
-        beta, c = roots[b], coeffs[b]
-        for k, a in enumerate(simple):
-            m = dot(beta, coroots[a])
-            if not m:
-                continue
-            j = lookup.get(tuple(x - m * y for x, y in zip(beta, roots[a])))
-            if j is None:
-                raise NotARootSystemError("simple reflection leaves the root set")
-            if j not in coeffs:
-                coeffs[j] = c[:k] + (c[k] - m,) + c[k + 1 :]
-                queue.append(j)
-    if len(coeffs) != len(roots):
-        raise NotARootSystemError("root outside the Weyl orbit of the base")
-    coefficients = tuple(coeffs[i] for i in range(len(roots)))
+    try:
+        coefficients = _walk_from_base(roots, coroots, lookup, simple, check)
+    except NotARootSystemError:
+        violations = tuple(_check_axioms(datum)) if check else ()
+        if violations:
+            return _Derived(violations)
+        raise
 
     # label each base column with the first column of its connected class
     label: dict[int, int] = {}

@@ -12,9 +12,6 @@ reflections, and coordinates in a Hermite basis of Z.roots.
 
 import random
 
-import pytest
-
-from rootprimes import rootdatum
 from rootprimes.certificates import _root_lattice_quotient
 from rootprimes.intlin import IntMatrix, dot, quotient_group
 from rootprimes.rootdatum import (
@@ -50,27 +47,10 @@ def _data():
     rebased = [_rebased(preset(name), rng) for name in NAMES]
     sampled = [random_type_a_datum(rng) for _ in range(40)]
     rebased += [dual(d) for d in rebased]
-    return rebased + sampled + [dual(d) for d in sampled], rebased
+    return rebased + sampled + [dual(d) for d in sampled]
 
 
-DATA, REBASED = _data()
-
-
-@pytest.fixture(autouse=True)
-def _rebased_copies_are_valid(monkeypatch):
-    """Skip the O(|roots|^2 rank) validator on the rebased copies only.
-
-    A unimodular change of basis (T T^-1 = 1 is asserted in ``_rebased``)
-    keeps every pairing, and swapping the sides keeps the axioms, so the
-    copies of a valid preset and their duals are valid.  Every SC and AD
-    preset passes the full validator in
-    ``test_rootdatum.test_presets_valid_with_classical_counts``; GL(n), tori
-    and direct sums of valid data are valid.  Validating the copies here
-    would take about 4 s.
-    """
-    check_axioms = rootdatum._check_axioms
-    skip = set(REBASED)
-    monkeypatch.setattr(rootdatum, "_check_axioms", lambda d: [] if d in skip else check_axioms(d))
+DATA = _data()
 
 
 def _union_find_groups(datum: RootDatum) -> list[tuple[int, ...]]:

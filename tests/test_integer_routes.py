@@ -5,8 +5,9 @@ coefficients from a breadth-first search along simple reflections, the
 weight quotient Lambda / L from pairing L with the simple coroots, and the
 quotients X/Z.roots, Y/Z.coroots from the simple rows only.  Each is checked
 against a weighted functional, a direct computation over all roots or one
-over the rationals.  The derived record is checked to run the full
-validator once per datum, and not at all on the dual of a valid datum.
+over the rationals.  The derived record is checked to derive each datum
+once, to skip the validator on the dual of a valid datum, and to run the
+full validator only on invalid data.
 """
 
 import json
@@ -172,43 +173,63 @@ def test_primes_on_a_wide_torus_factor_is_fast(tmp_path, capsys):
     assert elapsed < 3
 
 
-def _counting_validator(monkeypatch):
+def _counting(monkeypatch, name):
+    """Record the first argument of each call to ``rootdatum.<name>``."""
     calls = []
-    full = rootdatum._check_axioms
+    inner = getattr(rootdatum, name)
 
-    def counting(d):
-        calls.append(d)
-        return full(d)
+    def counting(first, *rest):
+        calls.append(first)
+        return inner(first, *rest)
 
-    monkeypatch.setattr(rootdatum, "_check_axioms", counting)
+    monkeypatch.setattr(rootdatum, name, counting)
     return calls
 
 
-def test_validate_then_report_runs_the_full_validator_once(monkeypatch):
+def test_validate_then_report_derives_once(monkeypatch):
     # reversing the pairs gives a datum no earlier test has put in the memo
     e6 = preset("SC(E6)")
     datum = RootDatum(rank=e6.rank, roots=e6.roots[::-1], coroots=e6.coroots[::-1])
-    calls = _counting_validator(monkeypatch)
+    derived = _counting(monkeypatch, "_derive")
+    full = _counting(monkeypatch, "_check_axioms")
     assert validate(datum) == []
     report(datum, 3)
-    assert calls.count(datum) == 1
+    assert derived.count(datum) == 1
+    assert full == []
 
 
 def test_the_dual_of_a_validated_datum_is_not_validated_again(monkeypatch):
     # rotating the pairs gives a datum no earlier test has put in the memo
     f4 = preset("SC(F4)")
     datum = RootDatum(f4.rank, f4.roots[1:] + f4.roots[:1], f4.coroots[1:] + f4.coroots[:1])
-    calls = _counting_validator(monkeypatch)
+    checked = _counting(monkeypatch, "_pairs_hold")
+    walks = []
+    walk = rootdatum._walk_from_base
+    monkeypatch.setattr(rootdatum, "_walk_from_base", lambda *args: walks.append((args[0], args[-1])) or walk(*args))
+    full = _counting(monkeypatch, "_check_axioms")
     assert validate(datum) == []
     report(dual(datum), 3)
-    assert calls == [datum]
+    assert checked == [datum]
+    # the walk on the dual skips its reflection check
+    assert walks == [(datum.roots, True), (datum.coroots, False)]
+    assert full == []
 
 
 def test_the_dual_of_an_invalid_datum_runs_the_full_validator(monkeypatch):
     # <(0,1), (2,1)> = 1 sends the root (0,1) to (-1,1), which is not a root
     datum = RootDatum(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), ((2, 1), (-2, -1), (0, 2), (0, -2)))
     expected = rootdatum._check_axioms(dual(datum))
-    calls = _counting_validator(monkeypatch)
+    calls = _counting(monkeypatch, "_check_axioms")
     assert validate(datum)
     assert validate(dual(datum)) == expected != []
     assert calls == [datum, dual(datum)]
+
+
+def test_the_presets_are_derived_without_the_full_validator(monkeypatch):
+    # a fresh memo, so every preset is derived here
+    monkeypatch.setattr(rootdatum, "_DERIVED", {})
+    calls = _counting(monkeypatch, "_check_axioms")
+    data = {preset(name) for name in RANK8_PRESETS}
+    assert all(validate(d) == [] for d in data)
+    assert len(rootdatum._DERIVED) == len(data)
+    assert calls == []

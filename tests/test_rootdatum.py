@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from rootprimes import rootdatum
 from rootprimes.errors import NotARootSystemError
 from rootprimes.intlin import FinAbGroup, IntMatrix
 from rootprimes.rootdatum import (
@@ -20,7 +21,7 @@ from rootprimes.rootdatum import (
     validate,
     weight_lattice_quotients,
 )
-from rootprimes.sampling import random_unimodular
+from rootprimes.sampling import random_type_a_datum, random_unimodular
 from rootprimes.selftest import RANK8_PRESETS
 
 # classical root counts: the closed-form formulas are the independent oracle
@@ -273,6 +274,17 @@ def test_component_recognition_rejects_garbage():
         _bourbaki_order([0, 1, 2, 3], cyc)
 
 
+def _rebased(datum, rng):
+    """The datum in a random basis of X: roots go to T r, coroots to T^-T c."""
+    t, tinv = random_unimodular(rng, datum.rank)
+    tinv_t = tinv.transpose()
+    return RootDatum(
+        rank=datum.rank,
+        roots=tuple(t.apply(r) for r in datum.roots),
+        coroots=tuple(tinv_t.apply(c) for c in datum.coroots),
+    )
+
+
 def _first_catalog_order(datum, nodes, series, rank):
     """Brute force: the lexicographically least node order giving the catalog matrix."""
     catalog = cartan_matrix(series, rank)
@@ -293,14 +305,7 @@ def test_component_order_is_the_least_catalog_order():
         datum = preset(name)
         if all(c.rank > 6 for c in components(datum)):
             continue
-        t, tinv = random_unimodular(rng, datum.rank)
-        tinv_t = tinv.transpose()
-        moved = RootDatum(
-            rank=datum.rank,
-            roots=tuple(t.apply(r) for r in datum.roots),
-            coroots=tuple(tinv_t.apply(c) for c in datum.coroots),
-        )
-        data += [(name, datum), (name, dual(datum)), (name, moved)]
+        data += [(name, datum), (name, dual(datum)), (name, _rebased(datum, rng))]
     checked = 0
     for name, datum in data:
         for comp in components(datum):
@@ -317,3 +322,88 @@ def test_component_order_is_the_least_catalog_order():
                 assert earlier is None, (name, comp.label, series)
             checked += 1
     assert checked > 150
+
+
+# the sums that tests/test_base_routes.py adds to the rank-8 presets
+SUMS = ("Sum(SC(E8), AD(A1))", "Sum(AD(F4), SC(D4))", "Sum(SC(D4), AD(D4), SC(F4))")
+
+
+def _differential_data():
+    """The presets and sums, each rebased, seeded type-A samples, and all their duals, once each."""
+    rng = random.Random(31)
+    named = [preset(name) for name in RANK8_PRESETS + SUMS]
+    data = named + [_rebased(d, rng) for d in named] + [random_type_a_datum(rng) for _ in range(40)]
+    return list(dict.fromkeys(data + [dual(d) for d in data]))
+
+
+def _negated(v):
+    return tuple(-x for x in v)
+
+
+def _corruptions(datum, rng, paired):
+    """Seeded corruptions of one (root, coroot) pair of a valid datum.
+
+    With ``paired`` the negative pair gets the negated change, and a shifted
+    coroot moves along a coordinate where its root is zero, so the axioms on
+    single pairs can still hold and only the reflections fail.
+    """
+    roots, coroots, rank = datum.roots, datum.coroots, datum.rank
+    i, j = rng.sample(range(datum.num_roots), 2)
+    neg = {i: roots.index(_negated(roots[i])), j: roots.index(_negated(roots[j]))}
+    zeros = [k for k in range(rank) if not roots[i][k]]
+    k = rng.choice(zeros) if paired and zeros else rng.randrange(rank)
+
+    def edit(vectors, changes):
+        out = list(vectors)
+        for x, v in changes.items():
+            out[x] = v
+            if paired:
+                out[neg[x]] = _negated(v)
+        return tuple(out)
+
+    kept = [x for x in range(datum.num_roots) if x != i and not (paired and x == neg[i])]
+    summed = (tuple(a + b for a, b in zip(roots[i], roots[j])), tuple(a + b for a, b in zip(coroots[i], coroots[j])))
+    extra = [summed] + ([tuple(map(_negated, summed))] if paired else [])
+    shifted = tuple(c + int(x == k) for x, c in enumerate(coroots[i]))
+    yield roots, edit(coroots, {i: _negated(coroots[i])})  # flipped coroot sign
+    yield tuple(roots[x] for x in kept), tuple(coroots[x] for x in kept)  # dropped root
+    yield roots, edit(coroots, {i: coroots[j], j: coroots[i]})  # swapped coroot pair
+    yield edit(roots, {i: roots[j], j: roots[i]}), coroots  # swapped root pair
+    yield roots, edit(coroots, {i: tuple(2 * x for x in coroots[i])})  # doubled coroot
+    yield roots, edit(coroots, {i: shifted})  # coroot shifted by a unit vector
+    yield roots + tuple(r for r, _ in extra), coroots + tuple(c for _, c in extra)  # appended sum of two roots
+
+
+def test_fast_check_agrees_with_the_full_validator(monkeypatch):
+    """validate() accepts a datum exactly when _check_axioms finds nothing, and
+    otherwise returns _check_axioms's list."""
+    full = rootdatum._check_axioms
+    results = []
+    monkeypatch.setattr(rootdatum, "_check_axioms", lambda d: results.append(full(d)) or results[-1])
+    monkeypatch.setattr(rootdatum, "_DERIVED", {})
+
+    def fast_accepts(d):
+        # a fresh memo, so no stored dual vouches for d
+        rootdatum._DERIVED.clear()
+        results.clear()
+        got = validate(d)
+        if not results:
+            assert got == [] and full(d) == []
+            return True
+        assert results == [got] and got
+        return False
+
+    valid = _differential_data()
+    assert len(valid) == 378
+    assert all(fast_accepts(d) for d in valid)
+    rng = random.Random(32)
+    rejected = 0
+    for d in valid:
+        if d.num_roots < 2:
+            continue
+        # paired corruptions run the full validator's reflection loop; above
+        # 72 roots (E7, D8, B8, C8, E8) they would add about 11 s
+        for paired in (False, True) if d.num_roots <= 72 else (False,):
+            for roots, coroots in _corruptions(d, rng, paired):
+                rejected += not fast_accepts(RootDatum(d.rank, roots, coroots))
+    assert rejected > 4000
