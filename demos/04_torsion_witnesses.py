@@ -18,7 +18,8 @@ from rootprimes import (
     quotient_group,
     verify_certificate,
 )
-from rootprimes.certificates import Certificate, _root_lattice_quotient
+from rootprimes.certificates import Certificate
+from rootprimes.rootdatum import root_lattice_quotient
 
 # Crossing out a node of the extended diagram whose coefficient p divides
 # produces a full-rank subsystem with cyclic p-torsion in Z.roots / Z.subsystem.
@@ -26,7 +27,7 @@ g2 = preset("SC(G2)")
 print("G2 highest root coefficients:", highest_roots(g2)[0].coefficients)
 for node in (0, 1):
     sub = cross_out_node(g2, 0, node)
-    quotient = _root_lattice_quotient(g2, sub.sorted_indices)
+    quotient = root_lattice_quotient(g2, sub.sorted_indices)
     print(f"  crossing node {node}: subsystem of {len(sub.indices)} roots, quotient {quotient}")
 print()
 

@@ -39,7 +39,7 @@ from .primes import (
     x_mod_root_lattice,
     y_mod_coroot_lattice,
 )
-from .rootdatum import RootDatum, components, dual, ensure_valid, root_coefficients, simple_system
+from .rootdatum import RootDatum, components, dual, ensure_valid, root_lattice_quotient
 from .subsystems import (
     WeylElement,
     _coxeter_for_components,
@@ -81,17 +81,6 @@ class Certificate:
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         return cls.from_dict(json.loads(text))
-
-
-def _root_lattice_quotient(datum: RootDatum, subset_indices) -> FinAbGroup:
-    """Z.roots / Z.subset for a subset of root indices.
-
-    The base is a Z-basis of Z.roots, so the subset's coefficient rows over
-    it present the quotient.
-    """
-    coeffs = root_coefficients(datum)
-    n = len(simple_system(datum))
-    return quotient_group(n, IntMatrix.from_rows([coeffs[i] for i in subset_indices], cols=n))
 
 
 def _coxeter_witness(datum: RootDatum, p: int):
@@ -137,7 +126,7 @@ def build_certificate(datum: RootDatum, p: int) -> Certificate:
         if found is None:
             raise ClassificationGapError("bad prime without a divisible coefficient")
         subset, component, node, coefficient = found
-        quotient = _root_lattice_quotient(datum, subset.sorted_indices)
+        quotient = root_lattice_quotient(datum, subset.sorted_indices)
         payload = {
             "component": component,
             "node": node,
@@ -240,7 +229,7 @@ def verify_certificate(cert: Certificate) -> bool:
         subset = cross_out_node(datum, component, node)
         if list(subset.sorted_indices) != fields["subsystem"]:
             return False
-        quotient = _root_lattice_quotient(datum, subset.sorted_indices)
+        quotient = root_lattice_quotient(datum, subset.sorted_indices)
         if fields["root_lattice_quotient"] != quotient:
             return False
         # the p-torsion must be cyclic of order the p-part of the coefficient

@@ -44,20 +44,20 @@ def _load_datum(arg: str) -> RootDatum:
             with open(arg, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
             return RootDatum.from_dict(data)
-        except (json.JSONDecodeError, KeyError, RecursionError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, OSError, RecursionError, TypeError, ValueError) as exc:
             raise UsageError(f"cannot read datum from {arg}: {exc}") from exc
     raise UsageError(f"{arg!r} is neither a preset name nor an existing file")
 
 
 def _load_matrix(arg: str) -> IntMatrix:
-    if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = arg
     try:
+        if os.path.exists(arg):
+            with open(arg, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = arg
         return strict_matrix(json.loads(text))
-    except (json.JSONDecodeError, RecursionError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, OSError, RecursionError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot read a matrix from {arg!r}: {exc}") from exc
 
 

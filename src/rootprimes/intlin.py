@@ -4,7 +4,9 @@ Everything here runs on plain Python integers, so intermediate results may
 grow without bound and never overflow.  The module provides Smith and Hermite
 normal forms with unimodular transforms, row lattices with membership and
 coordinate queries, and invariant factors of finitely generated abelian
-groups (quotients of ``Z^r`` by a row lattice).
+groups (quotients of ``Z^r`` by a row lattice).  A quotient is read off one
+Smith form of its generators, redundant or not, with no Hermite step and no
+transforms.
 
 Matrices follow the row convention: the lattice spanned by a matrix is the
 integer span of its rows.
@@ -413,9 +415,6 @@ class RowLattice:
     def __contains__(self, vec: Sequence[int]) -> bool:
         return self.coords(vec) is not None
 
-    def contains_lattice(self, other: "RowLattice") -> bool:
-        return all(self.coords(row) is not None for row in other._basis)
-
 
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups
@@ -486,19 +485,20 @@ class FinAbGroup:
 
 
 def quotient_group(ambient_rank: int, generators: IntMatrix) -> FinAbGroup:
-    """Z^ambient_rank modulo the row lattice of ``generators``.
+    """Z^ambient_rank modulo the row lattice of ``generators``, from one Smith form.
 
     The generator matrix must have ``ambient_rank`` columns; generators may be
-    redundant or empty (the zero lattice).
+    redundant or empty (the zero lattice).  The Smith diagonal of the
+    generators alone gives the torsion (its entries above 1) and the rank of
+    the lattice (its nonzero entries); no transform is built.
     """
     if generators.cols != ambient_rank:
         raise ValueError(
             f"dimension mismatch: generators have {generators.cols} columns, ambient rank is {ambient_rank}"
         )
-    basis = row_basis(generators)
-    divisors = snf_divisors(basis)
+    divisors = snf_divisors(generators)
     torsion = tuple(d for d in divisors if d > 1)
-    return FinAbGroup(torsion=torsion, free_rank=ambient_rank - basis.rows)
+    return FinAbGroup(torsion=torsion, free_rank=ambient_rank - sum(1 for d in divisors if d))
 
 
 def p_torsion_free(group: FinAbGroup, p: int) -> bool:
@@ -511,8 +511,8 @@ def p_torsion_free(group: FinAbGroup, p: int) -> bool:
 def relative_divisors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
     """Elementary divisors of the row lattice of ``sub`` inside that of ``ambient``.
 
-    Rewrites a basis of the sublattice in coordinates of an ambient basis and
-    takes the Smith chain; the list has one entry per rank of the sublattice
+    Rewrites the rows of ``sub`` in coordinates of an ambient basis and takes
+    their Smith chain; the list has one entry per rank of the sublattice
     (all positive).  Raises ContainmentError when the row span of ``sub`` is
     not inside the row span of ``ambient``.
     """
@@ -525,8 +525,7 @@ def relative_divisors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
         if c is None:
             raise ContainmentError(f"row {i} of the sublattice lies outside the ambient lattice")
         coords.append(c)
-    coord_basis = row_basis(IntMatrix.from_rows(coords, cols=amb.rank))
-    return [d for d in snf_divisors(coord_basis) if d]
+    return [d for d in snf_divisors(IntMatrix.from_rows(coords, cols=amb.rank)) if d]
 
 
 def rank_mod_p(M: IntMatrix, p: int) -> int:

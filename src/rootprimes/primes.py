@@ -34,7 +34,7 @@ from .rootdatum import (
     ensure_valid,
     highest_roots,
     positive_roots,
-    root_lattice,
+    root_lattice_quotient,
     weight_quotient_of_lattice,
     x_mod_root_lattice,
     y_mod_coroot_lattice,
@@ -108,23 +108,24 @@ def very_good(datum: RootDatum, p: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sublattice_classes(datum: RootDatum) -> tuple[IntMatrix, ...]:
+def _sublattice_classes(datum: RootDatum) -> tuple[tuple[IntMatrix, tuple[int, ...]], ...]:
     """Canonical bases of the lattices spanned by subsets of the roots.
 
     Any subset spans the same lattice as a subset of positive roots (negating
     a generator changes nothing), so the sweep runs over subsets of the
-    positive roots and deduplicates by Hermite basis.  The zero lattice
+    positive roots and deduplicates by Hermite basis.  Each basis comes with
+    the root indices of the first subset that spans it.  The zero lattice
     (empty subset) is included.
     """
     pos = positive_roots(datum)
-    seen: dict[tuple, IntMatrix] = {}
+    seen: dict[tuple, tuple[IntMatrix, tuple[int, ...]]] = {}
     npos = len(pos)
     for mask in range(1 << npos):
-        rows = [datum.roots[pos[k]] for k in range(npos) if mask >> k & 1]
-        basis = row_basis(IntMatrix.from_rows(rows, cols=datum.rank))
+        subset = tuple(pos[k] for k in range(npos) if mask >> k & 1)
+        basis = row_basis(IntMatrix.from_rows([datum.roots[i] for i in subset], cols=datum.rank))
         key = tuple(basis.entries) + (basis.rows,)
         if key not in seen:
-            seen[key] = basis
+            seen[key] = (basis, subset)
     return tuple(seen.values())
 
 
@@ -140,11 +141,8 @@ def good_via_torsion(datum: RootDatum, p: int, exhaustive_limit: int = 18) -> bo
     _check_prime(p)
     ensure_valid(datum)
     _gate_size(datum, exhaustive_limit)
-    anchor = root_lattice(datum)
-    for basis in _sublattice_classes(datum):
-        coords = [anchor.coords(basis.row(i)) for i in range(basis.rows)]
-        group = quotient_group(anchor.rank, IntMatrix.from_rows(coords, cols=anchor.rank))
-        if not p_torsion_free(group, p):
+    for _, subset in _sublattice_classes(datum):
+        if not p_torsion_free(root_lattice_quotient(datum, subset), p):
             return False
     return True
 
@@ -154,7 +152,7 @@ def very_good_via_torsion(datum: RootDatum, p: int, exhaustive_limit: int = 18) 
     _check_prime(p)
     ensure_valid(datum)
     _gate_size(datum, exhaustive_limit)
-    for basis in _sublattice_classes(datum):
+    for basis, _ in _sublattice_classes(datum):
         if not p_torsion_free(weight_quotient_of_lattice(datum, basis), p):
             return False
     return True
@@ -162,7 +160,7 @@ def very_good_via_torsion(datum: RootDatum, p: int, exhaustive_limit: int = 18) 
 
 def _side_torsion_free(datum: RootDatum, p: int) -> bool:
     """X / Z.subset has no p-torsion for every subset of the roots."""
-    for basis in _sublattice_classes(datum):
+    for basis, _ in _sublattice_classes(datum):
         if not p_torsion_free(quotient_group(datum.rank, basis), p):
             return False
     return True

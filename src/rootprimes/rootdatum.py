@@ -33,7 +33,6 @@ from .errors import NotARootSystemError
 from .intlin import (
     FinAbGroup,
     IntMatrix,
-    RowLattice,
     dot,
     prime_factors,
     quotient_group,
@@ -713,9 +712,15 @@ def cartan_type(datum: RootDatum) -> CartanType:
 # ---------------------------------------------------------------------------
 
 
-def root_lattice(datum: RootDatum) -> RowLattice:
-    """The lattice Z.roots inside X."""
-    return RowLattice(_base_rows(datum.rank, datum.roots, simple_system(datum)))
+def root_lattice_quotient(datum: RootDatum, subset_indices: Iterable[int]) -> FinAbGroup:
+    """Z.roots / Z.subset for a subset of root indices.
+
+    The base is a Z-basis of Z.roots, so the subset's coefficient rows over
+    it present the quotient.
+    """
+    coeffs = root_coefficients(datum)
+    n = len(simple_system(datum))
+    return quotient_group(n, IntMatrix.from_rows([coeffs[i] for i in subset_indices], cols=n))
 
 
 def is_semisimple(datum: RootDatum) -> bool:

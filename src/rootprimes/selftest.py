@@ -18,7 +18,7 @@ from typing import Callable
 from . import certificates, primes, standardness, subsystems
 from .intlin import IntMatrix, primes_upto, relative_divisors, smith_normal_form
 from .primes import report
-from .rootdatum import direct_sum, dual, is_semisimple, preset
+from .rootdatum import direct_sum, dual, is_semisimple, preset, root_lattice_quotient
 from .sampling import random_int_matrix, random_type_a_datum
 
 SMALL_PRESET_CANDIDATES = (
@@ -140,7 +140,7 @@ def criterion_6_crossing_law(limit: int) -> str:
                         if m % p:
                             continue
                         subset = subsystems.cross_out_node(datum, h.component, node)
-                        quotient = certificates._root_lattice_quotient(datum, subset.sorted_indices)
+                        quotient = root_lattice_quotient(datum, subset.sorted_indices)
                         p_part = 1
                         mm = m
                         while mm % p == 0:

@@ -12,14 +12,13 @@ reflections, and coordinates in a Hermite basis of Z.roots.
 
 import random
 
-from rootprimes.certificates import _root_lattice_quotient
-from rootprimes.intlin import IntMatrix, dot, quotient_group
+from rootprimes.intlin import IntMatrix, RowLattice, dot, quotient_group
 from rootprimes.rootdatum import (
     RootDatum,
     components,
     dual,
     preset,
-    root_lattice,
+    root_lattice_quotient,
     simple_system,
 )
 from rootprimes.sampling import random_type_a_datum, random_unimodular
@@ -95,9 +94,14 @@ def _reflection_orbit(datum: RootDatum, component: int, node: int) -> frozenset[
     return frozenset(seen)
 
 
+def _root_lattice(datum):
+    """Z.roots inside X, as the row lattice of the base."""
+    return RowLattice(IntMatrix.from_rows([datum.roots[i] for i in simple_system(datum)], cols=datum.rank))
+
+
 def _anchor_quotient(datum: RootDatum, indices):
     """Z.roots / Z.subset from coordinates in a Hermite basis of Z.roots."""
-    anchor = root_lattice(datum)
+    anchor = _root_lattice(datum)
     rows = [anchor.coords(datum.roots[i]) for i in indices]
     return quotient_group(anchor.rank, IntMatrix.from_rows(rows, cols=anchor.rank))
 
@@ -121,7 +125,7 @@ def test_every_crossing_matches_the_reflection_orbit_and_its_quotient():
                 assert subset.indices == _reflection_orbit(d, ci, node), (ci, node)
                 indices = subset.sorted_indices
                 if indices not in quotients:
-                    quotients[indices] = _root_lattice_quotient(d, indices)
+                    quotients[indices] = root_lattice_quotient(d, indices)
                     assert quotients[indices] == _anchor_quotient(d, indices), (ci, node)
                 crossings += 1
     assert crossings == sum(c.rank for d in DATA for c in components(d))

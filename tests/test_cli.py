@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from rootprimes.cli import main
 
 
@@ -187,6 +189,15 @@ def test_deeply_nested_json_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "snf", str(path))
     assert code == 2
     assert out == "" and "recursion depth" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("validate", ()), ("primes", ()), ("certificate", ("3",)), ("classify", ("3",)), ("snf", ())]
+)
+def test_directory_path_exit_2(capsys, tmp_path, command, extra):
+    code, out, err = run(capsys, command, str(tmp_path), *extra)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_primes_sweep_above_the_cap_exit_2(capsys):

@@ -7,7 +7,9 @@ quotients X/Z.roots, Y/Z.coroots from the simple rows only.  Each is checked
 against a weighted functional, a direct computation over all roots or one
 over the rationals.  The derived record is checked to derive each datum
 once, to skip the validator on the dual of a valid datum, and to run the
-full validator only on invalid data.
+full validator only on invalid data.  Every lattice quotient and relative
+divisor chain comes from one Smith form of the generators; the Hermite basis
+followed by a Smith form is the reference.
 """
 
 import json
@@ -19,17 +21,26 @@ import pytest
 
 from rootprimes import cli, rootdatum
 from rootprimes.errors import NotARootSystemError
-from rootprimes.intlin import IntMatrix, RowLattice, quotient_group
+from rootprimes.intlin import (
+    FinAbGroup,
+    IntMatrix,
+    RowLattice,
+    quotient_group,
+    relative_divisors,
+    row_basis,
+    smith_normal_form,
+    snf_divisors,
+)
 from rootprimes.primes import report
 from rootprimes.rootdatum import (
     RootDatum,
+    components,
     direct_sum,
     dual,
     general_linear,
     positive_roots,
     preset,
     root_coefficients,
-    root_lattice,
     simple_system,
     torus,
     validate,
@@ -37,8 +48,9 @@ from rootprimes.rootdatum import (
     x_mod_root_lattice,
     y_mod_coroot_lattice,
 )
-from rootprimes.sampling import random_type_a_datum, random_unimodular
-from rootprimes.selftest import RANK8_PRESETS
+from rootprimes.sampling import random_int_matrix, random_type_a_datum, random_unimodular
+from rootprimes.selftest import RANK8_PRESETS, SMALL_PRESET_CANDIDATES
+from rootprimes.subsystems import _coxeter_for_components, cross_out_node
 
 
 def _data():
@@ -89,11 +101,20 @@ def test_root_coefficients_reject_a_root_outside_the_weyl_orbit(monkeypatch):
         rootdatum._DERIVED.pop(stray, None)
 
 
+def _base_matrix(d):
+    return IntMatrix.from_rows([d.roots[i] for i in simple_system(d)], cols=d.rank)
+
+
+def _root_lattice(datum):
+    """Z.roots inside X, as the row lattice of the base."""
+    return RowLattice(_base_matrix(datum))
+
+
 def test_quotients_on_the_base_equal_quotients_over_all_roots():
     for d in DATA:
         assert x_mod_root_lattice(d) == quotient_group(d.rank, d.root_matrix())
         assert y_mod_coroot_lattice(d) == quotient_group(d.rank, d.coroot_matrix())
-        assert root_lattice(d).key() == RowLattice(d.root_matrix()).key()
+        assert _root_lattice(d).key() == RowLattice(d.root_matrix()).key()
 
 
 def _weight_lattice_reference(d):
@@ -233,3 +254,75 @@ def test_the_presets_are_derived_without_the_full_validator(monkeypatch):
     assert all(validate(d) == [] for d in data)
     assert len(rootdatum._DERIVED) == len(data)
     assert calls == []
+
+
+def _quotient_reference(ambient_rank, generators):
+    """Z^r modulo the row lattice: a Hermite basis first, then its Smith chain."""
+    basis = row_basis(generators)
+    return FinAbGroup(tuple(d for d in snf_divisors(basis) if d > 1), ambient_rank - basis.rows)
+
+
+def _relative_reference(sub, ambient):
+    """Relative divisors from a Hermite basis of the coordinate rows."""
+    amb = RowLattice(ambient)
+    coords = IntMatrix.from_rows([amb.coords(sub.row(i)) for i in range(sub.rows)], cols=amb.rank)
+    return [d for d in snf_divisors(row_basis(coords)) if d]
+
+
+# largest bit length allowed in the Smith transforms of root-data matrices;
+# 7 is the most seen on the subset matrices, 3 on the crossings and 4 on the
+# Coxeter images
+SMITH_TRANSFORM_BITS = 16
+
+
+def _assert_one_smith_form(generators, ambient):
+    """The Smith-only routes equal the references."""
+    assert quotient_group(generators.cols, generators) == _quotient_reference(generators.cols, generators)
+    assert relative_divisors(generators, ambient) == _relative_reference(generators, ambient)
+
+
+def _assert_small_transforms(generators):
+    snf = smith_normal_form(generators)
+    assert max((abs(x).bit_length() for x in snf.U.entries + snf.V.entries), default=0) <= SMITH_TRANSFORM_BITS
+
+
+def test_one_smith_form_on_every_positive_root_subset():
+    rng = random.Random(7)
+    for name in SMALL_PRESET_CANDIDATES:
+        d = _rebased(preset(name), rng)
+        for side in (d, dual(d)):
+            pos = [side.roots[i] for i in positive_roots(side)]
+            base = _base_matrix(side)
+            for mask in range(1 << len(pos)):
+                rows = IntMatrix.from_rows([r for k, r in enumerate(pos) if mask >> k & 1], cols=side.rank)
+                _assert_one_smith_form(rows, base)
+                _assert_small_transforms(rows)
+
+
+def test_one_smith_form_on_crossings_and_coxeter_images():
+    data = [preset(name) for name in RANK8_PRESETS]
+    for d in data + [dual(d) for d in data]:
+        coeffs = root_coefficients(d)
+        n = len(simple_system(d))
+        comps = components(d)
+        for ci, comp in enumerate(comps):
+            for node in range(len(comp.simple_indices)):
+                subset = cross_out_node(d, ci, node)
+                rows = IntMatrix.from_rows([coeffs[i] for i in subset.sorted_indices], cols=n)
+                _assert_one_smith_form(rows, IntMatrix.identity(n))
+                _assert_small_transforms(rows)
+        s = _coxeter_for_components(d, range(len(comps)))
+        image = (s.matrix - IntMatrix.identity(d.rank)).transpose()
+        _assert_one_smith_form(image, _base_matrix(d))
+        _assert_small_transforms(image)
+
+
+def test_one_smith_form_on_random_redundant_generators():
+    rng = random.Random(11)
+    for _ in range(200):
+        cols = rng.randint(1, 6)
+        gens = random_int_matrix(rng, rng.randint(0, cols), cols, -9, 9)
+        mix = random_int_matrix(rng, rng.randint(0, 3 * cols + 3), gens.rows, -3, 3)
+        # no transform bound here: on dense random matrices the smallest-pivot
+        # elimination grows U and V far past the root-data bound
+        _assert_one_smith_form(mix @ gens, gens)

@@ -105,14 +105,15 @@ def test_hnf_reconstruction_and_canonical_shape():
 
 def test_hnf_preserves_row_lattice():
     rng = random.Random(6)
+    urng = random.Random(60)
     for _ in range(20):
         m = random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -6, 6)
         lat = RowLattice(m)
         basis = row_basis(m)
         for i in range(m.rows):
             assert m.row(i) in lat
-        assert RowLattice(basis).contains_lattice(lat)
-        assert lat.contains_lattice(RowLattice(basis))
+        u, _ = random_unimodular(urng, m.rows)
+        assert RowLattice(basis).key() == lat.key() == RowLattice(u @ m).key()
 
 
 def test_quotient_group_examples():

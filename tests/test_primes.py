@@ -172,8 +172,12 @@ def _literal_subset_sweep(datum, p, quotient_of_lattice):
 
 
 def test_good_oracle_matches_literal_sweep():
-    from rootprimes.intlin import IntMatrix, quotient_group
-    from rootprimes.rootdatum import root_lattice
+    from rootprimes.intlin import IntMatrix, RowLattice, quotient_group
+    from rootprimes.rootdatum import simple_system
+
+    def root_lattice(datum):
+        """Z.roots inside X, as the row lattice of the base."""
+        return RowLattice(IntMatrix.from_rows([datum.roots[i] for i in simple_system(datum)], cols=datum.rank))
 
     def root_quotient(datum, sub):
         anchor = root_lattice(datum)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from rootprimes.errors import NonTypeAError
-from rootprimes.intlin import FinAbGroup, IntMatrix, quotient_group, relative_divisors
+from rootprimes.intlin import FinAbGroup, IntMatrix, RowLattice, quotient_group, relative_divisors
 from rootprimes.rootdatum import components, preset, simple_system
 from rootprimes.sampling import random_type_a_datum
 from rootprimes.subsystems import (
@@ -19,10 +19,13 @@ from rootprimes.subsystems import (
 )
 
 
-def _root_lattice_quotient(datum, indices):
-    from rootprimes.rootdatum import root_lattice
+def _root_lattice(datum):
+    """Z.roots inside X, as the row lattice of the base."""
+    return RowLattice(IntMatrix.from_rows([datum.roots[i] for i in simple_system(datum)], cols=datum.rank))
 
-    anchor = root_lattice(datum)
+
+def _root_lattice_quotient(datum, indices):
+    anchor = _root_lattice(datum)
     rows = [anchor.coords(datum.roots[i]) for i in indices]
     return quotient_group(anchor.rank, IntMatrix.from_rows(rows, cols=anchor.rank))
 
