@@ -6,7 +6,8 @@ normal forms with unimodular transforms, row lattices with membership and
 coordinate queries, and invariant factors of finitely generated abelian
 groups (quotients of ``Z^r`` by a row lattice).  A quotient is read off one
 Smith form of its generators, redundant or not, with no Hermite step and no
-transforms.
+transforms; a row-lattice basis is a Hermite form built without its
+transform.
 
 Matrices follow the row convention: the lattice spanned by a matrix is the
 integer span of its rows.
@@ -317,21 +318,34 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     entries above a pivot reduced into [0, pivot), zero rows last.  H is the
     canonical basis of the row lattice of M.
     """
+    a, U = _hermite(M, with_transform=True)
+    return IntMatrix.from_rows(a, cols=M.cols), IntMatrix.from_rows(U, cols=M.rows)
+
+
+def row_basis(M: IntMatrix) -> IntMatrix:
+    """Canonical (Hermite) basis of the row lattice of M, one row per rank; no transform is built."""
+    a, _ = _hermite(M, with_transform=False)
+    return IntMatrix.from_rows([row for row in a if any(row)], cols=M.cols)
+
+
+def _hermite(M: IntMatrix, with_transform: bool):
     r, c = M.rows, M.cols
     a = M.to_rows()
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    U = [[int(i == j) for j in range(r)] for i in range(r)] if with_transform else None
 
     def swap(i, j):
         a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
+        if U is not None:
+            U[i], U[j] = U[j], U[i]
 
     def row_sub(i, j, q):
         ai, aj = a[i], a[j]
         for k in range(c):
             ai[k] -= q * aj[k]
-        ui, uj = U[i], U[j]
-        for k in range(r):
-            ui[k] -= q * uj[k]
+        if U is not None:
+            ui, uj = U[i], U[j]
+            for k in range(r):
+                ui[k] -= q * uj[k]
 
     pr = 0
     for col in range(c):
@@ -356,21 +370,15 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             continue
         if a[pr][col] < 0:
             a[pr] = [-x for x in a[pr]]
-            U[pr] = [-x for x in U[pr]]
+            if U is not None:
+                U[pr] = [-x for x in U[pr]]
         for i in range(pr):
             q = a[i][col] // a[pr][col]
             if q:
                 row_sub(i, pr, q)
         pr += 1
 
-    return IntMatrix.from_rows(a, cols=c), IntMatrix.from_rows(U, cols=r)
-
-
-def row_basis(M: IntMatrix) -> IntMatrix:
-    """Canonical (Hermite) basis of the row lattice of M, one row per rank."""
-    h, _ = hermite_normal_form(M)
-    rows = [h.row(i) for i in range(h.rows) if any(h.row(i))]
-    return IntMatrix.from_rows(rows, cols=M.cols)
+    return a, U
 
 
 class RowLattice:

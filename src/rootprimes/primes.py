@@ -11,12 +11,18 @@ definition is kept as a brute-force oracle.  Since the subset condition on
 the X side depends only on the spanned lattice, and the coroot subsets range
 over exactly the root subsets of the dual datum, the brute force enumerates
 span-closure classes on each side independently.
+
+No quotient depends on p, so each oracle computes one torsion exponent per
+datum, the lcm of the torsion entries of every quotient it ranges over, and
+reads every prime off it: p fails exactly when it divides the exponent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
+from typing import Callable, Iterator
 
 from .errors import TooLargeError
 from .intlin import (
@@ -25,6 +31,7 @@ from .intlin import (
     p_torsion_free,
     quotient_group,
     row_basis,
+    snf_divisors,
 )
 from .rootdatum import (
     RootDatum,
@@ -107,8 +114,7 @@ def very_good(datum: RootDatum, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sublattice_classes(datum: RootDatum) -> tuple[tuple[IntMatrix, tuple[int, ...]], ...]:
+def _sublattice_classes(datum: RootDatum) -> Iterator[tuple[IntMatrix, tuple[int, ...]]]:
     """Canonical bases of the lattices spanned by subsets of the roots.
 
     Any subset spans the same lattice as a subset of positive roots (negating
@@ -118,15 +124,49 @@ def _sublattice_classes(datum: RootDatum) -> tuple[tuple[IntMatrix, tuple[int, .
     (empty subset) is included.
     """
     pos = positive_roots(datum)
-    seen: dict[tuple, tuple[IntMatrix, tuple[int, ...]]] = {}
+    seen: set[IntMatrix] = set()
     npos = len(pos)
     for mask in range(1 << npos):
         subset = tuple(pos[k] for k in range(npos) if mask >> k & 1)
         basis = row_basis(IntMatrix.from_rows([datum.roots[i] for i in subset], cols=datum.rank))
-        key = tuple(basis.entries) + (basis.rows,)
-        if key not in seen:
-            seen[key] = (basis, subset)
-    return tuple(seen.values())
+        if basis not in seen:
+            seen.add(basis)
+            yield basis, subset
+
+
+def _good_exponent(datum: RootDatum) -> int:
+    subsets = (subset for _, subset in _sublattice_classes(datum))
+    return math.lcm(*{d for subset in subsets for d in root_lattice_quotient(datum, subset).torsion})
+
+
+def _very_good_exponent(datum: RootDatum) -> int:
+    bases = (basis for basis, _ in _sublattice_classes(datum))
+    return math.lcm(*{d for basis in bases for d in weight_quotient_of_lattice(datum, basis).torsion})
+
+
+def _side_exponent(datum: RootDatum) -> int:
+    """lcm of the torsion of X / Z.subset over every subset of the roots."""
+    bases = (basis for basis, _ in _sublattice_classes(datum))
+    return math.lcm(*{d for basis in bases for d in quotient_group(datum.rank, basis).torsion})
+
+
+def _pretty_good_exponent(datum: RootDatum) -> int:
+    return math.lcm(_side_exponent(datum), _side_exponent(dual(datum)))
+
+
+def _full_sweep_exponent(datum: RootDatum) -> int:
+    """lcm of the torsion of X / Z.subset and Y / Z.subset^vee over literally every subset.
+
+    The matrices are built straight from the validated root and coroot rows.
+    """
+    n, r = datum.num_roots, datum.rank
+    divisors: set[int] = set()
+    for vectors in (datum.roots, datum.coroots):
+        for mask in range(1 << n):
+            rows = [vectors[i] for i in range(n) if mask >> i & 1]
+            divisors.update(snf_divisors(IntMatrix(len(rows), r, tuple(chain.from_iterable(rows)))))
+    divisors.discard(0)
+    return math.lcm(*divisors)
 
 
 def _gate_size(datum: RootDatum, exhaustive_limit: int):
@@ -136,63 +176,54 @@ def _gate_size(datum: RootDatum, exhaustive_limit: int):
         )
 
 
-def good_via_torsion(datum: RootDatum, p: int, exhaustive_limit: int = 18) -> bool:
-    """Brute-force good test: Z.roots / Z.subset has no p-torsion, all subsets."""
+# (exponent function, datum) -> the datum's torsion exponent for that oracle
+_EXPONENTS: dict[tuple[Callable[[RootDatum], int], RootDatum], int] = {}
+
+
+def _oracle(exponent_of: Callable[[RootDatum], int], datum: RootDatum, p: int, exhaustive_limit: int) -> bool:
+    """Run the checks, then answer from the datum's exponent, computed on its first call."""
     _check_prime(p)
     ensure_valid(datum)
     _gate_size(datum, exhaustive_limit)
-    for _, subset in _sublattice_classes(datum):
-        if not p_torsion_free(root_lattice_quotient(datum, subset), p):
-            return False
-    return True
+    key = (exponent_of, datum)
+    exponent = _EXPONENTS.get(key)
+    if exponent is None:
+        exponent = _EXPONENTS[key] = exponent_of(datum)
+    return exponent % p != 0
+
+
+def good_via_torsion(datum: RootDatum, p: int, exhaustive_limit: int = 18) -> bool:
+    """Brute-force good test: Z.roots / Z.subset has no p-torsion, all subsets.
+
+    The exponent is computed once per datum and every prime read off it.
+    """
+    return _oracle(_good_exponent, datum, p, exhaustive_limit)
 
 
 def very_good_via_torsion(datum: RootDatum, p: int, exhaustive_limit: int = 18) -> bool:
-    """Brute-force very-good test via weight-lattice quotients over all subsets."""
-    _check_prime(p)
-    ensure_valid(datum)
-    _gate_size(datum, exhaustive_limit)
-    for basis, _ in _sublattice_classes(datum):
-        if not p_torsion_free(weight_quotient_of_lattice(datum, basis), p):
-            return False
-    return True
+    """Brute-force very-good test via weight-lattice quotients over all subsets.
 
-
-def _side_torsion_free(datum: RootDatum, p: int) -> bool:
-    """X / Z.subset has no p-torsion for every subset of the roots."""
-    for basis, _ in _sublattice_classes(datum):
-        if not p_torsion_free(quotient_group(datum.rank, basis), p):
-            return False
-    return True
+    The exponent is computed once per datum and every prime read off it.
+    """
+    return _oracle(_very_good_exponent, datum, p, exhaustive_limit)
 
 
 def pretty_good_bruteforce(datum: RootDatum, p: int, exhaustive_limit: int = 18) -> bool:
-    """Pretty good by definition: sweep subset classes on both sides."""
-    _check_prime(p)
-    ensure_valid(datum)
-    _gate_size(datum, exhaustive_limit)
-    return _side_torsion_free(datum, p) and _side_torsion_free(dual(datum), p)
+    """Pretty good by definition: sweep subset classes on both sides.
+
+    The exponent is computed once per datum and every prime read off it.
+    """
+    return _oracle(_pretty_good_exponent, datum, p, exhaustive_limit)
 
 
 def pretty_good_full_sweep(datum: RootDatum, p: int, exhaustive_limit: int = 12) -> bool:
     """Second-tier oracle: literally every subset of the roots, both quotients.
 
     Exponential in the root count; used to validate the closure-class
-    reduction on small data.
+    reduction on small data.  The exponent is computed once per datum and
+    every prime read off it.
     """
-    _check_prime(p)
-    ensure_valid(datum)
-    _gate_size(datum, exhaustive_limit)
-    n = datum.num_roots
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        roots = IntMatrix.from_rows([datum.roots[i] for i in idx], cols=datum.rank)
-        coroots = IntMatrix.from_rows([datum.coroots[i] for i in idx], cols=datum.rank)
-        if not p_torsion_free(quotient_group(datum.rank, roots), p):
-            return False
-        if not p_torsion_free(quotient_group(datum.rank, coroots), p):
-            return False
-    return True
+    return _oracle(_full_sweep_exponent, datum, p, exhaustive_limit)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .intlin import IntMatrix, RowLattice, dot, hermite_normal_form
+from .intlin import IntMatrix, RowLattice, dot, row_basis
 from .rootdatum import RootDatum, adjoint, direct_sum, torus, validate
 
 
@@ -70,9 +70,8 @@ def _extend_lattice(rng: random.Random, base: RootDatum, blocks: list[tuple[int,
         return None
     # basis of X' = X + Z(u/d): Hermite basis of d*X + Z u, divided by d
     gens = [[d * int(i == j) for j in range(r)] for i in range(r)] + [u]
-    h, _ = hermite_normal_form(IntMatrix.from_rows(gens, cols=r))
-    basis = [h.row(i) for i in range(r)]  # full rank, rows 0..r-1
-    big = RowLattice(IntMatrix.from_rows(basis, cols=r))
+    basis = row_basis(IntMatrix.from_rows(gens, cols=r))  # full rank: r rows
+    big = RowLattice(basis)
     new_roots = []
     for root in base.roots:
         c = big.coords(tuple(d * x for x in root))
@@ -81,7 +80,7 @@ def _extend_lattice(rng: random.Random, base: RootDatum, blocks: list[tuple[int,
         new_roots.append(c)
     new_coroots = []
     for cr in base.coroots:
-        row = [dot(b, cr) for b in basis]
+        row = [dot(basis.row(i), cr) for i in range(r)]
         if any(x % d for x in row):
             return None
         new_coroots.append(tuple(x // d for x in row))

@@ -116,6 +116,53 @@ def test_hnf_preserves_row_lattice():
         assert RowLattice(basis).key() == lat.key() == RowLattice(u @ m).key()
 
 
+def _hermite_inputs():
+    """The seeded matrices of the two tests above, the empty matrix, zero rows and redundant generators."""
+    rng = random.Random(5)
+    out = [random_int_matrix(rng, rng.randint(0, 6), rng.randint(0, 6), -9, 9) for _ in range(25)]
+    rng = random.Random(6)
+    out += [random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), -6, 6) for _ in range(20)]
+    out += [
+        IntMatrix.from_rows([], cols=0),
+        IntMatrix.from_rows([], cols=3),
+        IntMatrix.zeros(3, 4),
+        IntMatrix.from_rows([[0, 0, 0], [2, 4, 6], [0, 0, 0]]),
+        IntMatrix.from_rows([[2, 0], [4, 0], [2, 0]]),
+        IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 2, 3], [0, 3, 3], [1, 5, 6]]),
+    ]
+    rng = random.Random(9)
+    for _ in range(10):
+        m = random_int_matrix(rng, 3, 4, -5, 5)
+        mix = random_int_matrix(rng, 4, 3, -3, 3)
+        out.append(IntMatrix.from_rows(m.to_rows() + (mix @ m).to_rows(), cols=4))
+    return out
+
+
+def test_row_basis_is_the_nonzero_hermite_rows():
+    rng = random.Random(11)
+    for m in _hermite_inputs():
+        h, _ = hermite_normal_form(m)
+        hermite_rows = [h.row(i) for i in range(h.rows) if any(h.row(i))]
+        basis = row_basis(m)
+        assert basis.cols == m.cols
+        assert [basis.row(i) for i in range(basis.rows)] == hermite_rows
+        lat = RowLattice(m)
+        assert lat.basis == basis
+        # coordinates over a basis are unique, so they must be the combination's coefficients
+        for _ in range(5):
+            c = [rng.randint(-4, 4) for _ in hermite_rows]
+            vec = tuple(sum(ci * row[j] for ci, row in zip(c, hermite_rows)) for j in range(m.cols))
+            assert lat.coords(vec) == tuple(c)
+            probe = tuple(rng.randint(-6, 6) for _ in range(m.cols))
+            inside = quotient_group(m.cols, IntMatrix.from_rows(hermite_rows + [probe], cols=m.cols)) == quotient_group(
+                m.cols, basis
+            )
+            coords = lat.coords(probe)
+            assert (coords is not None) == inside
+            if coords is not None:
+                assert tuple(sum(ci * row[j] for ci, row in zip(coords, hermite_rows)) for j in range(m.cols)) == probe
+
+
 def test_quotient_group_examples():
     assert quotient_group(2, IntMatrix.from_rows([[2, 0]], cols=2)) == FinAbGroup((2,), 1)
     assert quotient_group(1, IntMatrix.from_rows([[2]])) == FinAbGroup((2,), 0)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from rootprimes.errors import TooLargeError
@@ -216,3 +218,109 @@ def test_very_good_via_fundamental_group_order():
         for p in (2, 3, 5, 7):
             expected = good(datum, p) and order % p != 0
             assert very_good(datum, p) == expected, f"{name} at p={p}"
+
+
+# ---------------------------------------------------------------------------
+# Torsion exponents: one sweep per datum, every prime read off it
+# ---------------------------------------------------------------------------
+
+ORACLES = (good_via_torsion, very_good_via_torsion, pretty_good_bruteforce, pretty_good_full_sweep)
+
+
+def _full_sweep_reference(datum, p):
+    """The per-prime literal sweep: every subset, roots then coroots, stopping at the first p-torsion."""
+    from rootprimes.intlin import IntMatrix, p_torsion_free, quotient_group
+
+    n = datum.num_roots
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        roots = IntMatrix.from_rows([datum.roots[i] for i in idx], cols=datum.rank)
+        coroots = IntMatrix.from_rows([datum.coroots[i] for i in idx], cols=datum.rank)
+        if not p_torsion_free(quotient_group(datum.rank, roots), p):
+            return False
+        if not p_torsion_free(quotient_group(datum.rank, coroots), p):
+            return False
+    return True
+
+
+def _rebased(datum, rng):
+    from rootprimes.rootdatum import RootDatum
+    from rootprimes.sampling import random_unimodular
+
+    t, tinv = random_unimodular(rng, datum.rank)
+    tinv_t = tinv.transpose()
+    return RootDatum(
+        datum.rank,
+        tuple(t.apply(r) for r in datum.roots),
+        tuple(tinv_t.apply(c) for c in datum.coroots),
+    )
+
+
+def test_full_sweep_matches_the_per_prime_reference(monkeypatch):
+    # a rebasing's quotients are the preset's in new coordinates, so the
+    # reference runs once per preset; each order starts from an empty cache
+    # on its own rebasings, so the first call on a datum comes at p = 2 in one
+    # order and at p = 7 in the other
+    from rootprimes import primes
+    from rootprimes.selftest import RANK8_PRESETS, SMALL_PRESET_CANDIDATES
+
+    names = sorted({n for n in RANK8_PRESETS + SMALL_PRESET_CANDIDATES if preset(n).num_roots <= 12})
+    reference = {name: {p: _full_sweep_reference(preset(name), p) for p in (2, 3, 5, 7)} for name in names}
+    rng = random.Random(8080)
+    first_verdicts = set()
+    for order in ((2, 3, 5, 7), (7, 5, 3, 2)):
+        monkeypatch.setattr(primes, "_EXPONENTS", {})
+        for name in names:
+            datum = _rebased(preset(name), rng)
+            for p in order:
+                assert pretty_good_full_sweep(datum, p) == reference[name][p], f"{name} at p={p}, order {order}"
+            first_verdicts.add((order[0], reference[name][order[0]]))
+    assert {(2, False), (7, True)} <= first_verdicts
+
+
+def test_later_primes_take_no_smith_form(monkeypatch):
+    from rootprimes import intlin, primes
+
+    monkeypatch.setattr(primes, "_EXPONENTS", {})
+    calls = [0]
+    smith = intlin._smith
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return smith(*args, **kwargs)
+
+    monkeypatch.setattr(intlin, "_smith", counting)
+    for name in ("SC(A3)", "SC(G2)"):
+        datum = preset(name)
+        for oracle in ORACLES:
+            before = calls[0]
+            oracle(datum, 2)
+            assert calls[0] > before, f"{oracle.__name__} on {name} at its first prime"
+            before = calls[0]
+            for p in (3, 5, 7):
+                oracle(datum, p)
+            assert calls[0] == before, f"{oracle.__name__} on {name} after its first prime"
+
+
+def test_checks_run_before_the_cached_exponent(monkeypatch):
+    from rootprimes import primes
+    from rootprimes.rootdatum import RootDatum
+
+    monkeypatch.setattr(primes, "_EXPONENTS", {})
+    datum = preset("SC(A3)")
+    for oracle in ORACLES:
+        oracle(datum, 2)
+    assert len(primes._EXPONENTS) == len(ORACLES)
+    for oracle in ORACLES:
+        with pytest.raises(TooLargeError):
+            oracle(datum, 3, exhaustive_limit=11)
+        for p in (1, 4):
+            with pytest.raises(ValueError, match="not prime"):
+                oracle(datum, p)
+    # an invalid datum with an exponent planted for every oracle still fails validation
+    bad = RootDatum(datum.rank, datum.roots, (tuple(-x for x in datum.coroots[0]),) + datum.coroots[1:])
+    for exponent_of, _ in list(primes._EXPONENTS):
+        primes._EXPONENTS[(exponent_of, bad)] = 1
+    for oracle in ORACLES:
+        with pytest.raises(ValueError, match="invalid root datum"):
+            oracle(bad, 3)
