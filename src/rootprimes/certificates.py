@@ -14,6 +14,10 @@ Four kinds:
 
 Every certificate embeds the full datum so it verifies standalone:
 :func:`verify_certificate` re-runs the named check from the payload alone.
+
+:meth:`Certificate.to_json` writes exactly the bytes of
+``json.dumps(cert.to_dict(), indent=2, sort_keys=True)``, but through the C
+encoder: the stdlib leaves it whenever ``indent`` is set.
 """
 
 from __future__ import annotations
@@ -67,20 +71,82 @@ class Certificate:
         return {"kind": self.kind, "datum": self.datum.to_dict(), "p": self.p, "payload": self.payload}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)``."""
+        d = self.datum
+        # to_dict's layout, reading the datum's tuples without list copies
+        datum = {"rank": d.rank, "roots": d.roots, "coroots": d.coroots}
+        return _dumps({"kind": self.kind, "datum": datum, "p": self.p, "payload": self.payload})
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
+        """Inverse of :meth:`to_dict`; TypeError unless the certificate, its
+        datum and its payload are dicts and its kind a str."""
+        kind = _object(data)["kind"]
+        if not isinstance(kind, str):
+            raise TypeError(f"expected a string, got {kind!r}")
         return cls(
-            kind=str(data["kind"]),
-            datum=RootDatum.from_dict(data["datum"]),
+            kind=kind,
+            datum=RootDatum.from_dict(_object(data["datum"])),
             p=strict_int(data["p"]),
-            payload=dict(data["payload"]),
+            payload=dict(_object(data["payload"])),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
         return cls.from_dict(json.loads(text))
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    return value
+
+
+# the C encoder: JSONEncoder leaves it for the pure-Python one whenever indent is set
+_compact = json.JSONEncoder(separators=(",", ",")).encode
+
+
+def _key(key) -> str:
+    """A dict key as json.dumps writes it: int, float, bool and None keys become their JSON text."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _compact(key)
+    return _compact(key)
+
+
+def _dumps(value, level: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` at nesting ``level``.
+
+    A nonempty list of scalars other than strings, or a nonempty list of
+    such lists (a matrix, like the roots), is written compactly by the C
+    encoder and then indented by ``str.replace``: its text holds no strings,
+    so every ``[``, ``]`` and ``,`` in it is structure, and when every
+    bracket inside the outer pair sits in a ``],[`` its items are rows.
+    Dicts and every other list recurse.
+    """
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (_key(k) + ": " + _dumps(v, level + 1) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if not isinstance(value, (list, tuple)):
+        return _compact(value)
+    if not value:
+        return "[]"
+    body = _compact(value)[1:-1]
+    if '"' not in body and "[]" not in body:
+        if "[" not in body:
+            return "[" + inner + body.replace(",", "," + inner) + outer + "]"
+        rows = body[1:-1]
+        n = rows.count("],[")
+        if rows.count("[") == n == rows.count("]"):
+            entry = inner + "  "
+            rows = rows.replace(",", "," + entry).replace("]," + entry + "[", inner + "]," + inner + "[" + entry)
+            return "[" + inner + "[" + entry + rows + inner + "]" + outer + "]"
+    return "[" + inner + ("," + inner).join(_dumps(v, level + 1) for v in value) + outer + "]"
 
 
 def _coxeter_witness(datum: RootDatum, p: int):

@@ -90,9 +90,21 @@ class RootDatum:
         """Inverse of :meth:`to_dict`; ValueError on any non-integer rank or entry."""
         return cls(
             rank=strict_int(data["rank"]),
-            roots=tuple(tuple(strict_int(x) for x in r) for r in data["roots"]),
-            coroots=tuple(tuple(strict_int(x) for x in c) for c in data["coroots"]),
+            roots=_int_rows(data["roots"]),
+            coroots=_int_rows(data["coroots"]),
         )
+
+
+def _int_rows(rows) -> tuple[Vector, ...]:
+    """The rows as tuples; strict_int's ValueError on the first entry that is not an int."""
+    out = []
+    for r in rows:
+        row = tuple(r)
+        for x in row:
+            if type(x) is not int:
+                strict_int(x)
+        out.append(row)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

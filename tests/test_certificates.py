@@ -7,6 +7,7 @@ from rootprimes.certificates import (
     BAD_PRIME_SUBSYSTEM,
     CENTER_TORSION,
     COXETER_TORSION,
+    KINDS,
     PRETTY_GOOD_PROOF,
     Certificate,
     build_certificate,
@@ -14,7 +15,9 @@ from rootprimes.certificates import (
 )
 from rootprimes.intlin import primes_upto
 from rootprimes.primes import report
-from rootprimes.rootdatum import preset
+from rootprimes.rootdatum import RootDatum, dual, preset
+from rootprimes.sampling import random_unimodular
+from rootprimes.selftest import RANK8_PRESETS
 
 
 def test_branch_selection():
@@ -112,3 +115,103 @@ def test_mutated_payloads_fail_for_all_kinds():
                 mutated["payload"][key] = wrong
                 assert not verify_certificate(Certificate.from_dict(mutated)), (name, p, key, wrong)
     assert kinds == {PRETTY_GOOD_PROOF, CENTER_TORSION, BAD_PRIME_SUBSYSTEM, COXETER_TORSION}
+
+
+def _reference_json(cert):
+    """The certificate text as the stdlib's indenting encoder writes it."""
+    return json.dumps(cert.to_dict(), indent=2, sort_keys=True)
+
+
+def _rebased(d, rng):
+    """The datum in a random basis of X: roots go to T r, coroots to T^-T c."""
+    t, tinv = random_unimodular(rng, d.rank)
+    tinv_t = tinv.transpose()
+    return RootDatum(d.rank, tuple(t.apply(r) for r in d.roots), tuple(tinv_t.apply(c) for c in d.coroots))
+
+
+def test_to_json_matches_the_stdlib_on_every_rank8_certificate():
+    rng = random.Random(11)
+    kinds = set()
+    for name in RANK8_PRESETS:
+        datum = _rebased(preset(name), rng)
+        for d in (datum, dual(datum)):
+            for p in primes_upto(29):
+                cert = build_certificate(d, p)
+                kinds.add(cert.kind)
+                assert cert.to_json() == _reference_json(cert), (name, p)
+    assert kinds == {PRETTY_GOOD_PROOF, CENTER_TORSION, BAD_PRIME_SUBSYSTEM, COXETER_TORSION}
+
+
+def _random_json(rng, depth=0):
+    """A random JSON value; containers nest at most four deep."""
+    scalars = [
+        lambda: rng.randint(-(2**70), 2**70),
+        lambda: rng.randint(-3, 3),
+        lambda: rng.choice([True, False, None]),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice([0.0, -0.0, 1e-300, 1e300, float("inf"), float("-inf"), float("nan")]),
+        lambda: "".join(rng.choice('ab[],"\\{}: \u00e9\u263a\n') for _ in range(rng.randint(0, 6))),
+    ]
+    roll = rng.random()
+    if depth < 3 and roll < 0.35:
+        shape = rng.choice(["row", "matrix", "mixed"])
+        if shape == "row":
+            return [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+        if shape == "matrix":
+            cols = rng.randint(0, 3)
+            return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rng.randint(0, 4))]
+        return [_random_json(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    if depth < 3 and roll < 0.5:
+        keys = ["a", "b,", "[c]", "\u00e9", '"', ""]
+        return {rng.choice(keys): _random_json(rng, depth + 1) for _ in range(rng.randint(0, 3))}
+    return rng.choice(scalars)()
+
+
+def test_to_json_matches_the_stdlib_on_fuzzed_payloads():
+    rng = random.Random(5)
+    datum = preset("SC(A1)")
+    fixed = [[], [[]], [[], []], [[1], []], {}, {"x": {}}, [{}], [[{}], [{}]], [[[1]]], [[[]]]]
+    fixed += [[1, [2]], [[1], 2], [[1], [2], 3], [[1, [2]], [3]], ["a,[b]"], [[1, "]"]]]
+    fixed += [{2: "a", 1: [1]}, {None: [1]}, {False: 0, True: 1}, {2.5: {}, float("nan"): 0}]
+    values = fixed + [_random_json(rng) for _ in range(3000)]
+    for value in values:
+        cert = Certificate(CENTER_TORSION, datum, 2, {"value": value, "in_a_list": [value, 2]})
+        assert cert.to_json() == _reference_json(cert), value
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        Certificate(CENTER_TORSION, datum, 2, {(1, 2): 0}).to_json()
+
+
+def test_to_json_never_enters_the_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python encoder ran")
+
+    samples = [("SC(E8)", 5), ("AD(E8)", 7), ("GL(3)", 5), ("SC(A1)", 2), ("SC(G2)", 2), ("AD(A1)", 2)]
+    certs = [build_certificate(preset(name), p) for name, p in samples]
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    with pytest.raises(AssertionError, match="pure-Python"):
+        _reference_json(certs[0])
+    assert {cert.kind for cert in certs} == set(KINDS)
+    for cert in certs:
+        assert cert.to_json()
+
+
+def test_from_dict_requires_objects_and_a_string_kind():
+    cert = build_certificate(preset("SC(A1)"), 2)
+    good = json.loads(cert.to_json())
+    assert verify_certificate(Certificate.from_dict(good))
+
+    as_pairs = dict(good, payload=[list(item) for item in good["payload"].items()])
+    with pytest.raises(TypeError, match="expected an object"):
+        Certificate.from_dict(as_pairs)
+    for wrong in ([], "payload", None, 0):
+        with pytest.raises(TypeError, match="expected an object"):
+            Certificate.from_dict(dict(good, payload=wrong))
+    for wrong in ([["rank", 1]], "datum", None):
+        with pytest.raises(TypeError, match="expected an object"):
+            Certificate.from_dict(dict(good, datum=wrong))
+    for wrong in (list(good.items()), "certificate", None):
+        with pytest.raises(TypeError, match="expected an object"):
+            Certificate.from_dict(wrong)
+    for wrong in (0, None, True, [CENTER_TORSION], {"kind": CENTER_TORSION}):
+        with pytest.raises(TypeError, match="expected a string"):
+            Certificate.from_dict(dict(good, kind=wrong))

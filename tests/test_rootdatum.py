@@ -1,3 +1,4 @@
+import copy
 import random
 from itertools import permutations
 
@@ -5,7 +6,7 @@ import pytest
 
 from rootprimes import rootdatum
 from rootprimes.errors import NotARootSystemError
-from rootprimes.intlin import FinAbGroup, IntMatrix
+from rootprimes.intlin import FinAbGroup, IntMatrix, strict_int
 from rootprimes.rootdatum import (
     RootDatum,
     cartan_matrix,
@@ -259,6 +260,46 @@ def test_json_round_trip():
 def test_from_dict_rejects_non_integers(data):
     with pytest.raises(ValueError, match="expected an integer"):
         RootDatum.from_dict(data)
+
+
+def _generator_from_dict(data):
+    """The earlier parse, one strict_int generator per row: the reference for from_dict's errors."""
+    return RootDatum(
+        rank=strict_int(data["rank"]),
+        roots=tuple(tuple(strict_int(x) for x in r) for r in data["roots"]),
+        coroots=tuple(tuple(strict_int(x) for x in c) for c in data["coroots"]),
+    )
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except Exception as exc:  # the parity test compares whatever either route raises
+        return type(exc), str(exc)
+
+
+def test_from_dict_errors_match_the_generator_route():
+    good = preset("Sum(GL(2), SC(B3))").to_dict()
+    cases = [good]
+    for bad in (1.7, True, "1", None, [1]):
+        first = copy.deepcopy(good)
+        first["roots"][0][0] = bad
+        last = copy.deepcopy(good)
+        last["coroots"][-1][-1] = bad
+        both = copy.deepcopy(first)
+        both["coroots"][-1][-1] = 2.5
+        cases += [first, last, both]
+    for row in (5, None, 1.5):
+        for key, index in (("roots", 0), ("coroots", -1)):
+            case = copy.deepcopy(good)
+            case[key][index] = row
+            cases.append(case)
+    cases += [dict(good, roots="12"), dict(good, roots="ab"), dict(good, coroots="1")]
+    cases += [dict(good, roots=[[1, "x"], 7]), dict(good, roots=[[1, 2], 7, [1.5]])]
+    for data in cases:
+        expected = _outcome(_generator_from_dict, data)
+        assert _outcome(RootDatum.from_dict, data) == expected, data
+    assert RootDatum.from_dict(good) == _generator_from_dict(good)
 
 
 def test_component_recognition_rejects_garbage():
