@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import ContainmentError
@@ -25,7 +26,7 @@ from .errors import ContainmentError
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise ValueError("dimension mismatch in dot product")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def strict_int(value) -> int:

@@ -14,7 +14,12 @@ twice another (data are reduced), and each reflection
 through the simple reflections only; see :func:`validate`.  The data derived
 from a datum (its violations, base, root coefficients, components, highest
 roots, bad primes, X/Z.roots and Y/Z.coroots) are computed together on first
-use and kept in one record.
+use and kept in one record.  They come from one ordered pass.  One sweep
+over the positive roots in lexicographic order finds the base.  One search
+along the simple reflections, stepping once per +-pair of roots and
+carrying each root's pairings with the simple coroots from root to root,
+gives the root coefficients.  The base's Cartan matrix, computed once for
+that search, also groups and orders the components.
 
 Cartan matrices follow the convention ``C[i][j] = <alpha_j, alpha_i^vee>``,
 with Bourbaki Planche node numbering (Groupes et algebres de Lie, ch. VI),
@@ -27,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotARootSystemError
@@ -167,10 +173,14 @@ def validate(datum: RootDatum) -> list[str]:
     The axioms on single pairs (distinct roots, <a, a^vee> = 2, -a listed
     with coroot -a^vee, no 2a listed) are checked directly.  Reflection
     stability is checked on the base a_1, ..., a_l only, by the search that
-    computes :func:`root_coefficients`: for every root b it reaches and
+    computes :func:`root_coefficients`: for every root b it steps from and
     every simple root a_i, s_i(b) must be a root whose coroot is
     s_i^vee(b^vee) (so <b, a_i^vee> = 0 forces <a_i, b^vee> = 0), and the
-    search must reach every root.  That suffices.  As <a_i, a_i^vee> = 2,
+    search must reach every root.  It steps from one root of each +-pair:
+    s_i(-b) = -s_i(b) and s_i^vee(-b^vee) = -s_i^vee(b^vee), and -b is
+    listed with coroot -b^vee, so the check on b covers -b.  The pairings
+    the check reads are carried along the search, not recomputed (see
+    :func:`root_coefficients`).  That suffices.  As <a_i, a_i^vee> = 2,
     s_i and s_i^vee are involutions with <s_i x, y> = <x, s_i^vee y>, so for
     a word w in the s_i and the same word w^vee in the s_i^vee the pairing
     is invariant, <w x, w^vee y> = <x, y>.  Each s_i carries listed pairs to
@@ -558,34 +568,77 @@ def _walk_from_base(
     lookup: dict[Vector, int],
     simple: Sequence[int],
     check: bool,
-) -> tuple[tuple[int, ...], ...]:
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Root coefficients by a search along simple reflections (see :func:`root_coefficients`).
 
-    With ``check`` it also asks that each simple reflection carry the coroot
-    of every root to the coroot of its image (see :func:`validate`).
+    Returns the coefficient rows and the base's Cartan matrix
+    ``C[i][j] = <alpha_j, alpha_i^vee>``.  The search steps from one root of
+    each +-pair, and the negative gets the negated row: s_i(-b) = -s_i(b),
+    and the caller has checked that -b is listed with coroot -b^vee.  Each
+    root carries its pairings <b, alpha_i^vee> from the root it was reached
+    from, since s_k(b) = b - m alpha_k changes them by m times column k of C.
+    With ``check`` it also carries <alpha_i, b^vee> (by row k of C) and asks
+    that each simple reflection carry the coroot of every root to the
+    coroot of its image (see :func:`validate`).
     """
-    coeffs = {i: tuple(int(j == k) for j in range(len(simple))) for k, i in enumerate(simple)}
-    queue = list(simple)
-    for b in queue:
-        beta, beta_v, c = roots[b], coroots[b], coeffs[b]
-        for k, a in enumerate(simple):
-            m = dot(beta, coroots[a])
-            n = dot(roots[a], beta_v) if check else 0
+    base = [roots[a] for a in simple]
+    cobase = [coroots[a] for a in simple]
+    cartan = tuple(tuple(dot(a, av) for a in base) for av in cobase)
+    columns = tuple(zip(*cartan))
+    coeffs: list[Optional[tuple[int, ...]]] = [None] * len(roots)
+    # (root, its coefficients, <root, alpha_i^vee>, <alpha_i, root^vee>)
+    queue = []
+
+    def reach(j: int, c: tuple[int, ...]) -> None:
+        coeffs[j] = c
+        coeffs[lookup[tuple(-x for x in roots[j])]] = tuple(-x for x in c)
+
+    for k, a in enumerate(simple):
+        reach(a, tuple(int(j == k) for j in range(len(simple))))
+        queue.append((a, coeffs[a], columns[k], cartan[k]))
+    for b, c, pairs, copairs in queue:
+        beta, beta_v = roots[b], coroots[b]
+        for k, m in enumerate(pairs):
+            n = copairs[k] if check else 0
             if not m:
                 if n:
                     raise NotARootSystemError("simple reflection fixes a root but moves its coroot")
                 continue
-            j = lookup.get(tuple(x - m * y for x, y in zip(beta, roots[a])))
+            j = lookup.get(tuple(x - m * y for x, y in zip(beta, base[k])))
             if j is None:
                 raise NotARootSystemError("simple reflection leaves the root set")
-            if check and coroots[j] != tuple(x - n * y for x, y in zip(beta_v, coroots[a])):
+            if check and coroots[j] != tuple(x - n * y for x, y in zip(beta_v, cobase[k])):
                 raise NotARootSystemError("simple reflection does not carry a coroot to its image's coroot")
-            if j not in coeffs:
-                coeffs[j] = c[:k] + (c[k] - m,) + c[k + 1 :]
-                queue.append(j)
-    if len(coeffs) != len(roots):
+            if coeffs[j] is None:
+                reach(j, c[:k] + (c[k] - m,) + c[k + 1 :])
+                queue.append((
+                    j,
+                    coeffs[j],
+                    tuple(x - m * y for x, y in zip(pairs, columns[k])),
+                    tuple(x - n * y for x, y in zip(copairs, cartan[k])) if check else None,
+                ))
+    if None in coeffs:
         raise NotARootSystemError("root outside the Weyl orbit of the base")
-    return tuple(coeffs[i] for i in range(len(roots)))
+    return tuple(coeffs), cartan
+
+
+def _base_search(roots: Sequence[Vector], positive: Sequence[int]) -> tuple[int, ...]:
+    """The simple roots among ``positive``, ascending.
+
+    Lexicographic order on Z^r is invariant under translation, so a positive
+    root comes after every positive summand of it.  Every positive root that
+    is not simple is a simple root plus a positive root (Bourbaki, Lie VI
+    1.6; Humphreys, Lie algebras 10.2), so the sweep in that order keeps a
+    root unless subtracting a simple root kept before it leaves a positive
+    root.
+    """
+    pos_set = {roots[i] for i in positive}
+    kept: list[int] = []
+    for i in sorted(positive, key=roots.__getitem__):
+        r = roots[i]
+        if not any(tuple(map(sub, r, roots[a])) in pos_set for a in kept):
+            kept.append(i)
+    return tuple(sorted(kept))
 
 
 def _derive(datum: RootDatum) -> _Derived:
@@ -601,14 +654,12 @@ def _derive(datum: RootDatum) -> _Derived:
         if violations:
             return _Derived(violations)
         check = False  # the full validator has accepted the datum
-    positive = tuple(i for i, r in enumerate(roots) if next(x for x in r if x) > 0)
-    pos_set = {roots[i] for i in positive}
-    simple = tuple(
-        i for i in positive
-        if not any(tuple(x - y for x, y in zip(roots[i], roots[j])) in pos_set for j in positive if j != i)
-    )
+    zero = (0,) * rank
+    positive = tuple(i for i, r in enumerate(roots) if r > zero)
+    pos = set(positive)
+    simple = _base_search(roots, positive)
     try:
-        coefficients = _walk_from_base(roots, coroots, lookup, simple, check)
+        coefficients, cartan = _walk_from_base(roots, coroots, lookup, simple, check)
     except NotARootSystemError:
         violations = tuple(_check_axioms(datum)) if check else ()
         if violations:
@@ -624,8 +675,8 @@ def _derive(datum: RootDatum) -> _Derived:
         stack = [k]
         while stack:
             a = stack.pop()
-            for b in range(len(simple)):
-                if b not in label and dot(roots[simple[b]], coroots[simple[a]]):
+            for b, pairing in enumerate(cartan[a]):
+                if pairing and b not in label:
                     label[b] = k
                     stack.append(b)
     # insertion order is the order of each group's smallest root index
@@ -633,16 +684,12 @@ def _derive(datum: RootDatum) -> _Derived:
     for i, row in enumerate(coefficients):
         groups.setdefault(label[next(k for k, c in enumerate(row) if c)], []).append(i)
     comps = []
-    for first, indices in groups.items():
-        nodes = [simple[k] for k in range(len(simple)) if label[k] == first]
-        series, n, ordered = _bourbaki_order(nodes, lambda i, j: dot(roots[j], coroots[i]))
-        comps.append(Component(series, n, tuple(indices), tuple(ordered)))
-
-    column = {i: k for k, i in enumerate(simple)}
     highest = []
-    for ci, comp in enumerate(comps):
-        cols = [column[i] for i in comp.simple_indices]
-        vectors = {i: tuple(coefficients[i][c] for c in cols) for i in comp.root_indices if roots[i] in pos_set}
+    for ci, (first, indices) in enumerate(groups.items()):
+        nodes = [k for k in range(len(simple)) if label[k] == first]
+        series, n, cols = _bourbaki_order(nodes, lambda i, j: cartan[i][j])
+        comps.append(Component(series, n, tuple(indices), tuple(simple[k] for k in cols)))
+        vectors = {i: tuple(coefficients[i][k] for k in cols) for i in indices if i in pos}
         best = max(vectors, key=lambda i: sum(vectors[i]))
         if any(a > b for v in vectors.values() for a, b in zip(v, vectors[best])):
             raise AssertionError("no dominating root in an irreducible component")
@@ -674,7 +721,12 @@ def simple_system(datum: RootDatum) -> tuple[int, ...]:
     """Indices of a base of the root system, ascending.
 
     The simple roots are the positive roots (see :func:`positive_roots`)
-    that are not sums of two positive roots.
+    that are not sums of two positive roots.  They are found in one sweep
+    over the positive roots in lexicographic order, which is invariant
+    under translation, so each summand comes before its sum: a root is kept
+    unless subtracting a simple root kept before it leaves a positive root,
+    which covers every non-simple positive root since each is a simple root
+    plus a positive root (Bourbaki, Lie VI 1.6; Humphreys 10.2).
     """
     return _valid(datum).simple
 
@@ -685,7 +737,11 @@ def root_coefficients(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     Every root is the image of a simple root under a product of simple
     reflections, so a breadth-first search from the base (unit vectors)
     reaches all of them: reflecting beta in the i-th simple root subtracts
-    <beta, alpha_i^vee> e_i from the coefficients of beta.
+    <beta, alpha_i^vee> e_i from the coefficients of beta.  The search steps
+    from one root of each +-pair and gives the other the negated row.  No
+    pairing is recomputed per root: the pairings of s_i(beta) with the
+    simple coroots are those of beta minus <beta, alpha_i^vee> times the
+    pairings of alpha_i, a column of the base's Cartan matrix.
     """
     return _valid(datum).coefficients
 
@@ -728,11 +784,14 @@ def root_lattice_quotient(datum: RootDatum, subset_indices: Iterable[int]) -> Fi
     """Z.roots / Z.subset for a subset of root indices.
 
     The base is a Z-basis of Z.roots, so the subset's coefficient rows over
-    it present the quotient.
+    it present the quotient.  A root and its negative span the same line, so
+    one row per +-pair is kept: each row has entries of one sign, and its
+    absolute values are the row of the positive root of its pair.
     """
-    coeffs = root_coefficients(datum)
-    n = len(simple_system(datum))
-    return quotient_group(n, IntMatrix.from_rows([coeffs[i] for i in subset_indices], cols=n))
+    rec = _valid(datum)
+    n = len(rec.simple)
+    rows = dict.fromkeys(tuple(map(abs, rec.coefficients[i])) for i in subset_indices)
+    return quotient_group(n, IntMatrix.from_rows(list(rows), cols=n))
 
 
 def is_semisimple(datum: RootDatum) -> bool:

@@ -41,6 +41,7 @@ from rootprimes.rootdatum import (
     positive_roots,
     preset,
     root_coefficients,
+    root_lattice_quotient,
     simple_system,
     torus,
     validate,
@@ -309,6 +310,8 @@ def test_one_smith_form_on_crossings_and_coxeter_images():
             for node in range(len(comp.simple_indices)):
                 subset = cross_out_node(d, ci, node)
                 rows = IntMatrix.from_rows([coeffs[i] for i in subset.sorted_indices], cols=n)
+                # one row per +-pair presents the same quotient as every row
+                assert root_lattice_quotient(d, subset.sorted_indices) == quotient_group(n, rows)
                 _assert_one_smith_form(rows, IntMatrix.identity(n))
                 _assert_small_transforms(rows)
         s = _coxeter_for_components(d, range(len(comps)))

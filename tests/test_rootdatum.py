@@ -6,9 +6,11 @@ import pytest
 
 from rootprimes import rootdatum
 from rootprimes.errors import NotARootSystemError
-from rootprimes.intlin import FinAbGroup, IntMatrix, strict_int
+from rootprimes.intlin import FinAbGroup, IntMatrix, dot, strict_int
 from rootprimes.rootdatum import (
+    Component,
     RootDatum,
+    _bourbaki_order,
     cartan_matrix,
     cartan_type,
     components,
@@ -16,6 +18,7 @@ from rootprimes.rootdatum import (
     dual,
     is_semisimple,
     preset,
+    root_coefficients,
     same_datum,
     simple_system,
     torus,
@@ -303,8 +306,6 @@ def test_from_dict_errors_match_the_generator_route():
 
 
 def test_component_recognition_rejects_garbage():
-    from rootprimes.rootdatum import _bourbaki_order
-
     # a 4-cycle is not a Dynkin diagram
     def cyc(i, j):
         if i == j:
@@ -375,6 +376,72 @@ def _differential_data():
     named = [preset(name) for name in RANK8_PRESETS + SUMS]
     data = named + [_rebased(d, rng) for d in named] + [random_type_a_datum(rng) for _ in range(40)]
     return list(dict.fromkeys(data + [dual(d) for d in data]))
+
+
+def _pairwise_base(d):
+    """The earlier base search: the positive roots that are not a sum of two positive roots."""
+    positive = [i for i, r in enumerate(d.roots) if next(x for x in r if x) > 0]
+    pos_set = {d.roots[i] for i in positive}
+    return tuple(
+        i for i in positive
+        if not any(tuple(x - y for x, y in zip(d.roots[i], d.roots[j])) in pos_set for j in positive if j != i)
+    )
+
+
+def _per_root_walk(d, simple):
+    """The earlier search: every reached root against every simple root, one dot product each."""
+    roots, coroots = d.roots, d.coroots
+    lookup = {r: i for i, r in enumerate(roots)}
+    coeffs = {i: tuple(int(j == k) for j in range(len(simple))) for k, i in enumerate(simple)}
+    queue = list(simple)
+    for b in queue:
+        for k, a in enumerate(simple):
+            m = dot(roots[b], coroots[a])
+            if m:
+                j = lookup[tuple(x - m * y for x, y in zip(roots[b], roots[a]))]
+                if j not in coeffs:
+                    c = coeffs[b]
+                    coeffs[j] = c[:k] + (c[k] - m,) + c[k + 1 :]
+                    queue.append(j)
+    return tuple(coeffs[i] for i in range(len(roots)))
+
+
+def _dot_components(d, simple, coefficients):
+    """The earlier grouping and node order, each pairing of simple roots a dot product."""
+    roots, coroots = d.roots, d.coroots
+    label = {}
+    for k in range(len(simple)):
+        if k in label:
+            continue
+        label[k] = k
+        stack = [k]
+        while stack:
+            a = stack.pop()
+            for b in range(len(simple)):
+                if b not in label and dot(roots[simple[b]], coroots[simple[a]]):
+                    label[b] = k
+                    stack.append(b)
+    groups = {}
+    for i, row in enumerate(coefficients):
+        groups.setdefault(label[next(k for k, c in enumerate(row) if c)], []).append(i)
+    comps = []
+    for first, indices in groups.items():
+        nodes = [simple[k] for k in range(len(simple)) if label[k] == first]
+        series, n, ordered = _bourbaki_order(nodes, lambda i, j: dot(roots[j], coroots[i]))
+        comps.append(Component(series, n, tuple(indices), tuple(ordered)))
+    return tuple(comps)
+
+
+def test_the_ordered_pass_matches_the_pairwise_search_and_the_per_root_walk():
+    checked = 0
+    for d in _differential_data():
+        simple = _pairwise_base(d)
+        coefficients = _per_root_walk(d, simple)
+        assert simple_system(d) == simple
+        assert root_coefficients(d) == coefficients
+        assert components(d) == _dot_components(d, simple, coefficients)
+        checked += 1
+    assert checked == 378
 
 
 def _negated(v):
