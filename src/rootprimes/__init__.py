@@ -42,6 +42,12 @@ from .isogeny import (
     transfer_pretty_good,
     validate_isogeny,
 )
+from .oracles import (
+    good_via_torsion,
+    pretty_good_bruteforce,
+    pretty_good_full_sweep,
+    very_good_via_torsion,
+)
 from .primes import (
     PrimeReport,
     TorsionBound,
@@ -50,13 +56,9 @@ from .primes import (
     dual_center_smooth,
     failing_prime_bound,
     good,
-    good_via_torsion,
     pretty_good,
-    pretty_good_bruteforce,
-    pretty_good_full_sweep,
     report,
     very_good,
-    very_good_via_torsion,
 )
 from .rootdatum import (
     CartanType,

@@ -512,8 +512,7 @@ def quotient_group(ambient_rank: int, generators: IntMatrix) -> FinAbGroup:
 
 def p_torsion_free(group: FinAbGroup, p: int) -> bool:
     """True when no torsion entry is divisible by the prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     return all(d % p for d in group.torsion)
 
 
@@ -539,8 +538,7 @@ def relative_divisors(sub: IntMatrix, ambient: IntMatrix) -> list[int]:
 
 def rank_mod_p(M: IntMatrix, p: int) -> int:
     """Rank of M over the field with p elements."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     a = [[x % p for x in M.row(i)] for i in range(M.rows)]
     rank = 0
     rows, cols = M.rows, M.cols
@@ -602,6 +600,12 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def check_prime(p: int):
+    """ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

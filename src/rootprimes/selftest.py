@@ -1,9 +1,9 @@
 """Property and acceptance suites.
 
 Each criterion is a callable taking the brute-force subset limit (12 by
-default, 18 for deep runs) and raising AssertionError on failure; on success
-it returns a short summary.  The same registry backs the ``selftest`` CLI
-command and the acceptance test module.
+default, 18 in the acceptance tests, 32 for deep runs) and raising
+AssertionError on failure; on success it returns a short summary.  The same
+registry backs the ``selftest`` CLI command and the acceptance test module.
 
 All randomized sweeps are seeded, so two runs check the same instances.
 """
@@ -31,6 +31,11 @@ SMALL_PRESET_CANDIDATES = (
     "Torus(2)",
 )
 
+# rank-4 presets that only a deep run's subset limit admits; criteria 2-4
+# check each of them and its dual
+DEEP_PRESET_CANDIDATES = ("SC(D4)", "AD(D4)", "SC(B4)", "AD(B4)", "SC(C4)", "AD(C4)")
+DEEP_LIMIT = 32
+
 RANK8_PRESETS = tuple(
     [f"{iso}({series}{n})" for iso in ("SC", "AD") for series, lo, hi in (
         ("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 2, 8), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2),
@@ -48,7 +53,9 @@ RANK8_PRESETS = tuple(
 
 
 def _small_sample(limit: int):
-    return [preset(name) for name in SMALL_PRESET_CANDIDATES if preset(name).num_roots <= limit]
+    small = [preset(name) for name in SMALL_PRESET_CANDIDATES]
+    deep = [d for name in DEEP_PRESET_CANDIDATES for d in (preset(name), dual(preset(name)))]
+    return [d for d in small + deep if d.num_roots <= limit]
 
 
 def criterion_1_worked_facts(limit: int) -> str:
@@ -259,7 +266,7 @@ def run_all(deep: bool = False, out=print) -> bool:
     """Run every criterion; print one pass/fail line each; True when all pass."""
     import time
 
-    limit = 18 if deep else 12
+    limit = DEEP_LIMIT if deep else 12
     all_ok = True
     for ident, name, fn in CRITERIA:
         start = time.perf_counter()

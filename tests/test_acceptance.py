@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from rootprimes.selftest import CRITERIA
+from rootprimes.selftest import CRITERIA, DEEP_LIMIT, DEEP_PRESET_CANDIDATES, SMALL_PRESET_CANDIDATES
 
 FULL_LIMIT = 18
 
@@ -25,3 +25,11 @@ def test_acceptance_criterion(ident, name, fn):
     elapsed = time.perf_counter() - start
     print(f"[PASS] criterion {ident}: {name} ({elapsed:.1f}s) - {detail}")
     assert elapsed < BUDGETS[ident], f"criterion {ident} exceeded its {BUDGETS[ident]}s budget"
+
+
+def test_deep_run_checks_the_rank_4_data():
+    # at the deep limit, criteria 2-4 check every small preset and every
+    # rank-4 preset with its dual, at four primes each
+    pairs = (len(SMALL_PRESET_CANDIDATES) + 2 * len(DEEP_PRESET_CANDIDATES)) * 4
+    for ident, _, fn in CRITERIA[1:4]:
+        assert fn(DEEP_LIMIT).startswith(f"{pairs} (datum, p) pairs"), ident

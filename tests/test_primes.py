@@ -1,8 +1,14 @@
+import math
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootprimes.errors import TooLargeError
+from rootprimes.intlin import IntMatrix, row_basis, snf_divisors
+from rootprimes.oracles import _full_sweep_exponent, _join, _sublattice_classes, _subset_lattices
 from rootprimes.primes import (
     bad_primes,
     center_smooth,
@@ -17,7 +23,9 @@ from rootprimes.primes import (
     very_good,
     very_good_via_torsion,
 )
-from rootprimes.rootdatum import direct_sum, dual, is_semisimple, preset
+from rootprimes.rootdatum import direct_sum, dual, is_semisimple, positive_roots, preset
+from rootprimes.sampling import random_int_matrix
+from rootprimes.selftest import SMALL_PRESET_CANDIDATES
 
 
 def test_bad_primes_examples():
@@ -261,7 +269,7 @@ def test_full_sweep_matches_the_per_prime_reference(monkeypatch):
     # reference runs once per preset; each order starts from an empty cache
     # on its own rebasings, so the first call on a datum comes at p = 2 in one
     # order and at p = 7 in the other
-    from rootprimes import primes
+    from rootprimes import oracles
     from rootprimes.selftest import RANK8_PRESETS, SMALL_PRESET_CANDIDATES
 
     names = sorted({n for n in RANK8_PRESETS + SMALL_PRESET_CANDIDATES if preset(n).num_roots <= 12})
@@ -269,7 +277,7 @@ def test_full_sweep_matches_the_per_prime_reference(monkeypatch):
     rng = random.Random(8080)
     first_verdicts = set()
     for order in ((2, 3, 5, 7), (7, 5, 3, 2)):
-        monkeypatch.setattr(primes, "_EXPONENTS", {})
+        monkeypatch.setattr(oracles, "_EXPONENTS", {})
         for name in names:
             datum = _rebased(preset(name), rng)
             for p in order:
@@ -279,9 +287,11 @@ def test_full_sweep_matches_the_per_prime_reference(monkeypatch):
 
 
 def test_later_primes_take_no_smith_form(monkeypatch):
-    from rootprimes import intlin, primes
+    # the first class oracle on a datum runs the class pass on the datum and
+    # its dual, so every later class-oracle call on either, whichever oracle
+    # and prime, runs no Smith form; the full sweep caches the datum alone
+    from rootprimes import intlin, oracles
 
-    monkeypatch.setattr(primes, "_EXPONENTS", {})
     calls = [0]
     smith = intlin._smith
 
@@ -292,25 +302,31 @@ def test_later_primes_take_no_smith_form(monkeypatch):
     monkeypatch.setattr(intlin, "_smith", counting)
     for name in ("SC(A3)", "SC(G2)"):
         datum = preset(name)
-        for oracle in ORACLES:
+        cases = [(oracle, ORACLES[:3], (datum, dual(datum))) for oracle in ORACLES[:3]]
+        for first, group, data in cases + [(ORACLES[3], ORACLES[3:], (datum,))]:
+            monkeypatch.setattr(oracles, "_EXPONENTS", {})
             before = calls[0]
-            oracle(datum, 2)
-            assert calls[0] > before, f"{oracle.__name__} on {name} at its first prime"
+            first(datum, 2)
+            assert calls[0] > before, f"{first.__name__} on {name} at its first call"
             before = calls[0]
-            for p in (3, 5, 7):
-                oracle(datum, p)
-            assert calls[0] == before, f"{oracle.__name__} on {name} after its first prime"
+            for oracle in group:
+                for p in (2, 3, 5, 7):
+                    for d in data:
+                        oracle(d, p)
+            assert calls[0] == before, f"a later call on {name} or its dual after {first.__name__}"
 
 
 def test_checks_run_before_the_cached_exponent(monkeypatch):
-    from rootprimes import primes
+    from rootprimes import oracles
     from rootprimes.rootdatum import RootDatum
 
-    monkeypatch.setattr(primes, "_EXPONENTS", {})
+    monkeypatch.setattr(oracles, "_EXPONENTS", {})
     datum = preset("SC(A3)")
     for oracle in ORACLES:
         oracle(datum, 2)
-    assert len(primes._EXPONENTS) == len(ORACLES)
+    kinds = ("good", "very good", "pretty good", "full sweep")
+    class_keys = {(kind, d) for kind in kinds[:3] for d in (datum, dual(datum))}
+    assert set(oracles._EXPONENTS) == class_keys | {("full sweep", datum)}
     for oracle in ORACLES:
         with pytest.raises(TooLargeError):
             oracle(datum, 3, exhaustive_limit=11)
@@ -319,8 +335,95 @@ def test_checks_run_before_the_cached_exponent(monkeypatch):
                 oracle(datum, p)
     # an invalid datum with an exponent planted for every oracle still fails validation
     bad = RootDatum(datum.rank, datum.roots, (tuple(-x for x in datum.coroots[0]),) + datum.coroots[1:])
-    for exponent_of, _ in list(primes._EXPONENTS):
-        primes._EXPONENTS[(exponent_of, bad)] = 1
+    for kind in kinds:
+        oracles._EXPONENTS[(kind, bad)] = 1
     for oracle in ORACLES:
         with pytest.raises(ValueError, match="invalid root datum"):
             oracle(bad, 3)
+
+
+# ---------------------------------------------------------------------------
+# The class pass and the join chain against the from-scratch sweeps they
+# replaced: a Hermite basis built from scratch for each of the
+# 2^|positive roots| masks, and one Smith form per literal subset of the
+# roots and of the coroots
+# ---------------------------------------------------------------------------
+
+FULL_SWEEP_ROOTS = 12
+
+
+def _span(datum, indices):
+    return row_basis(IntMatrix.from_rows([datum.roots[k] for k in indices], cols=datum.rank))
+
+
+def _mask_classes(datum):
+    """The Hermite basis of the span of every subset of the positive roots, each built from scratch."""
+    pos = positive_roots(datum)
+    return {_span(datum, [k for b, k in enumerate(pos) if mask >> b & 1]) for mask in range(1 << len(pos))}
+
+
+@cache
+def _subset_exponent(name):
+    """lcm of the Smith divisors of every literal subset of the preset's roots and of its coroots."""
+    datum = preset(name)
+    divisors = set()
+    for vectors in (datum.roots, datum.coroots):
+        for mask in range(1 << datum.num_roots):
+            rows = [v for i, v in enumerate(vectors) if mask >> i & 1]
+            divisors.update(snf_divisors(IntMatrix.from_rows(rows, cols=datum.rank)))
+    divisors.discard(0)
+    return math.lcm(*divisors)
+
+
+def _check_against_references(name, datum):
+    """The class pass on ``datum``, a form of preset ``name``, against the masks; returns the class count."""
+    classes = _sublattice_classes(datum)
+    assert set(classes) == _mask_classes(datum), name
+    for basis, subset in classes.items():
+        assert _span(datum, subset) == basis, f"{name}: the subset {subset} does not span its basis"
+    if datum.num_roots <= FULL_SWEEP_ROOTS:
+        # every root subset spans what a positive one does, so the join chain
+        # numbers exactly the classes, each once
+        lattices = _subset_lattices(datum.roots, datum.rank)
+        assert len(lattices) == len(classes) and set(lattices) == set(classes), name
+        assert _full_sweep_exponent(datum) == _subset_exponent(name), name
+    return len(classes)
+
+
+def test_class_pass_and_join_chain_match_the_references():
+    counts = {}
+    for name in SMALL_PRESET_CANDIDATES:
+        for datum in (preset(name), dual(preset(name))):
+            counts.setdefault(name, set()).add(_check_against_references(name, datum))
+    # the classes are the root-spanned sublattices of the root lattice, so the
+    # count depends on the root system alone, not on the isogeny or the side
+    for names, count in ((("SC(A2)", "AD(A2)"), 5), (("SC(B3)", "AD(B3)", "SC(C3)", "AD(C3)"), 31)):
+        for name in names:
+            assert counts[name] == {count}, name
+
+
+@settings(derandomize=True, database=None, max_examples=4, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1))
+def test_class_pass_and_join_chain_match_the_references_after_rebasing(seed):
+    rng = random.Random(seed)
+    for name in SMALL_PRESET_CANDIDATES:
+        for datum in (preset(name), dual(preset(name))):
+            _check_against_references(name, _rebased(datum, rng))
+
+
+def test_join_is_the_row_basis_of_the_rows_so_far():
+    rng = random.Random(1117)
+    for trial in range(200):
+        cols = rng.randint(1, 6)
+        m = random_int_matrix(rng, rng.randint(1, 8), cols, -6, 6)
+        rows = m.to_rows()
+        # repeats, negations, multiples and zero rows exercise the unchanged-lattice path
+        rows += [[-x for x in rows[0]], [3 * x for x in rows[-1]], [0] * cols]
+        rng.shuffle(rows)
+        basis = IntMatrix(0, cols, ())
+        for k, row in enumerate(rows):
+            joined = _join(basis, row)
+            assert joined == row_basis(IntMatrix.from_rows(rows[: k + 1], cols=cols)), f"trial {trial}, row {k}"
+            if joined == basis:
+                assert joined is basis
+            basis = joined
