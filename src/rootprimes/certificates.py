@@ -29,6 +29,7 @@ from .errors import ClassificationGapError
 from .intlin import (
     FinAbGroup,
     IntMatrix,
+    check_prime,
     is_prime,
     p_torsion_free,
     quotient_group,
@@ -171,8 +172,7 @@ def build_certificate(datum: RootDatum, p: int) -> Certificate:
     raises ClassificationGapError.
     """
     ensure_valid(datum)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     rep = report(datum, p)
 
     if rep.pretty_good:
@@ -299,12 +299,7 @@ def verify_certificate(cert: Certificate) -> bool:
         if fields["root_lattice_quotient"] != quotient:
             return False
         # the p-torsion must be cyclic of order the p-part of the coefficient
-        p_part = 1
-        m = coefficient
-        while m % p == 0:
-            m //= p
-            p_part *= p
-        return quotient.p_part(p) == (p_part,)
+        return quotient.p_part(p) == FinAbGroup((coefficient,), 0).p_part(p)
 
     # COXETER_TORSION
     side_datum = datum if fields["side"] == "primary" else dual(datum)

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
 
     p = add("selftest", cmd_selftest, "run the acceptance suites")
-    p.add_argument("--deep", action="store_true", help="raise the brute-force subset limit from 12 to 18")
+    p.add_argument("--deep", action="store_true", help="raise the brute-force subset limit from 12 to 32")
 
     return parser
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -327,6 +328,50 @@ def row_basis(M: IntMatrix) -> IntMatrix:
     """Canonical (Hermite) basis of the row lattice of M, one row per rank; no transform is built."""
     a, _ = _hermite(M, with_transform=False)
     return IntMatrix.from_rows([row for row in a if any(row)], cols=M.cols)
+
+
+def join_row(basis: IntMatrix, row: Sequence[int]) -> IntMatrix:
+    """``row_basis`` of the rows of the Hermite basis ``basis`` plus one more row.
+
+    The row is cleared column by column against the basis rows: at a pivot
+    it divides, it is reduced; at one it does not divide, Euclid's algorithm
+    on the two rows puts their gcd in the pivot; where no basis row has a
+    pivot, it becomes a new row.  The basis itself comes back when the row
+    lies in its lattice; otherwise the entries above the pivots are reduced
+    again.
+    """
+    c = basis.cols
+    e = basis.entries
+    rows: list[Sequence[int]] = [e[k * c : (k + 1) * c] for k in range(basis.rows)]
+    v = row
+    changed = False
+    i = 0
+    for col in range(c):
+        if i < len(rows) and rows[i][col]:  # row i's pivot: the entries before it are zero
+            b = rows[i]
+            q, rem = divmod(v[col], b[col])
+            if rem:
+                while v[col]:  # Euclid on the two rows leaves their gcd in the pivot
+                    q = b[col] // v[col]
+                    b, v = v, [bk - q * vk for bk, vk in zip(b, v)]
+                rows[i] = b if b[col] > 0 else [-x for x in b]
+                changed = True
+            elif q:
+                v = [vk - q * bk for bk, vk in zip(b, v)]
+            i += 1
+        elif v[col]:
+            rows.insert(i, v if v[col] > 0 else [-x for x in v])
+            changed = True
+            break
+    if not changed:
+        return basis
+    for j, pr in enumerate(rows):
+        col = next(k for k, x in enumerate(pr) if x)
+        for k in range(j):
+            q = rows[k][col] // pr[col]
+            if q:
+                rows[k] = [x - q * y for x, y in zip(rows[k], pr)]
+    return IntMatrix(len(rows), c, tuple(chain.from_iterable(rows)))
 
 
 def _hermite(M: IntMatrix, with_transform: bool):

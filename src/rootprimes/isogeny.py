@@ -16,7 +16,7 @@ from typing import Optional
 from .intlin import (
     FinAbGroup,
     IntMatrix,
-    is_prime,
+    check_prime,
     p_torsion_free,
     quotient_group,
     strict_int,
@@ -116,8 +116,7 @@ def separable_at(iso: Isogeny, p: int) -> bool:
     The transposed map has a cokernel of the same order (equal determinants),
     which is asserted rather than trusted.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     ensure_valid_isogeny(iso)
     order = abs(iso.matrix.det())
     dual_order = abs(iso.matrix.transpose().det())
@@ -133,8 +132,7 @@ def transfer_pretty_good(iso: Isogeny, p: int) -> tuple[bool, bool, bool]:
     two pretty-good bits must agree, and a disagreement raises, since it
     would falsify the transfer law.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     ensure_valid_isogeny(iso)
     applies = p_torsion_free(cokernel(iso), p)
     source_pg = pretty_good(iso.source, p)

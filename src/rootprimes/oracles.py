@@ -31,11 +31,10 @@ reads every prime off it: p fails exactly when it divides the exponent.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Sequence
 
 from .errors import TooLargeError
-from .intlin import IntMatrix, check_prime, quotient_group, snf_divisors
+from .intlin import IntMatrix, check_prime, join_row, quotient_group, snf_divisors
 from .rootdatum import (
     RootDatum,
     dual,
@@ -44,50 +43,6 @@ from .rootdatum import (
     root_lattice_quotient,
     weight_quotient_of_lattice,
 )
-
-
-def _join(basis: IntMatrix, row: Sequence[int]) -> IntMatrix:
-    """``row_basis`` of the rows of the Hermite basis ``basis`` plus one more row.
-
-    The row is cleared column by column against the basis rows: at a pivot
-    it divides, it is reduced; at one it does not divide, Euclid's algorithm
-    on the two rows puts their gcd in the pivot; where no basis row has a
-    pivot, it becomes a new row.  The basis itself comes back when the row
-    lies in its lattice; otherwise the entries above the pivots are reduced
-    again.
-    """
-    c = basis.cols
-    e = basis.entries
-    rows: list[Sequence[int]] = [e[k : k + c] for k in range(0, len(e), c)]
-    v = row
-    changed = False
-    i = 0
-    for col in range(c):
-        if i < len(rows) and rows[i][col]:  # row i's pivot: the entries before it are zero
-            b = rows[i]
-            q, rem = divmod(v[col], b[col])
-            if rem:
-                while v[col]:  # Euclid on the two rows leaves their gcd in the pivot
-                    q = b[col] // v[col]
-                    b, v = v, [bk - q * vk for bk, vk in zip(b, v)]
-                rows[i] = b if b[col] > 0 else [-x for x in b]
-                changed = True
-            elif q:
-                v = [vk - q * bk for bk, vk in zip(b, v)]
-            i += 1
-        elif v[col]:
-            rows.insert(i, v if v[col] > 0 else [-x for x in v])
-            changed = True
-            break
-    if not changed:
-        return basis
-    for j, pr in enumerate(rows):
-        col = next(k for k, x in enumerate(pr) if x)
-        for k in range(j):
-            q = rows[k][col] // pr[col]
-            if q:
-                rows[k] = [x - q * y for x, y in zip(rows[k], pr)]
-    return IntMatrix(len(rows), c, tuple(chain.from_iterable(rows)))
 
 
 def _sublattice_classes(datum: RootDatum) -> dict[IntMatrix, tuple[int, ...]]:
@@ -104,7 +59,7 @@ def _sublattice_classes(datum: RootDatum) -> dict[IntMatrix, tuple[int, ...]]:
     for basis in found:  # grows while it is walked
         subset = classes[basis]
         for k in pos:
-            joined = _join(basis, datum.roots[k])
+            joined = join_row(basis, datum.roots[k])
             if joined not in classes:
                 classes[joined] = subset + (k,)
                 found.append(joined)
@@ -143,7 +98,7 @@ def _subset_lattices(vectors: Sequence[Sequence[int]], rank: int) -> list[IntMat
         for top in range(start, n):
             joined = memo[top]
             if joined is None:
-                basis = _join(lattices[lattice], vectors[top])
+                basis = join_row(lattices[lattice], vectors[top])
                 joined = number.get(basis)
                 if joined is None:
                     joined = number[basis] = len(lattices)

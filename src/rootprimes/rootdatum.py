@@ -220,7 +220,6 @@ def _check_series(series: str, rank: int):
         raise ValueError(f"unsupported rank {rank} for series {series}")
 
 
-@lru_cache(maxsize=None)
 def cartan_matrix(series: str, rank: int) -> IntMatrix:
     """Catalog Cartan matrix C[i][j] = <alpha_j, alpha_i^vee>, Bourbaki order."""
     _check_series(series, rank)
@@ -318,7 +317,6 @@ def _datum_from_pairs(rank: int, pairs: Iterable[tuple[Vector, Vector]]) -> Root
     )
 
 
-@lru_cache(maxsize=None)
 def simply_connected(series: str, rank: int) -> RootDatum:
     """Datum with Y spanned by the simple coroots (X is the weight lattice)."""
     c = cartan_matrix(series, rank)
@@ -329,7 +327,6 @@ def simply_connected(series: str, rank: int) -> RootDatum:
     return _datum_from_pairs(rank, _reflection_closure(simples))
 
 
-@lru_cache(maxsize=None)
 def adjoint(series: str, rank: int) -> RootDatum:
     """Datum with X spanned by the simple roots (Y is the coweight lattice)."""
     c = cartan_matrix(series, rank)
@@ -340,7 +337,6 @@ def adjoint(series: str, rank: int) -> RootDatum:
     return _datum_from_pairs(rank, _reflection_closure(simples))
 
 
-@lru_cache(maxsize=None)
 def general_linear(n: int) -> RootDatum:
     """The GL_n datum: rank n, roots and coroots e_i - e_j."""
     if n < 1:
@@ -567,7 +563,6 @@ def _walk_from_base(
     coroots: Sequence[Vector],
     lookup: dict[Vector, int],
     simple: Sequence[int],
-    check: bool,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Root coefficients by a search along simple reflections (see :func:`root_coefficients`).
 
@@ -577,9 +572,9 @@ def _walk_from_base(
     and the caller has checked that -b is listed with coroot -b^vee.  Each
     root carries its pairings <b, alpha_i^vee> from the root it was reached
     from, since s_k(b) = b - m alpha_k changes them by m times column k of C.
-    With ``check`` it also carries <alpha_i, b^vee> (by row k of C) and asks
-    that each simple reflection carry the coroot of every root to the
-    coroot of its image (see :func:`validate`).
+    It also carries <alpha_i, b^vee> (by row k of C) and asks that each
+    simple reflection carry the coroot of every root to the coroot of its
+    image (see :func:`validate`).
     """
     base = [roots[a] for a in simple]
     cobase = [coroots[a] for a in simple]
@@ -599,7 +594,7 @@ def _walk_from_base(
     for b, c, pairs, copairs in queue:
         beta, beta_v = roots[b], coroots[b]
         for k, m in enumerate(pairs):
-            n = copairs[k] if check else 0
+            n = copairs[k]
             if not m:
                 if n:
                     raise NotARootSystemError("simple reflection fixes a root but moves its coroot")
@@ -607,7 +602,7 @@ def _walk_from_base(
             j = lookup.get(tuple(x - m * y for x, y in zip(beta, base[k])))
             if j is None:
                 raise NotARootSystemError("simple reflection leaves the root set")
-            if check and coroots[j] != tuple(x - n * y for x, y in zip(beta_v, cobase[k])):
+            if coroots[j] != tuple(x - n * y for x, y in zip(beta_v, cobase[k])):
                 raise NotARootSystemError("simple reflection does not carry a coroot to its image's coroot")
             if coeffs[j] is None:
                 reach(j, c[:k] + (c[k] - m,) + c[k + 1 :])
@@ -615,7 +610,7 @@ def _walk_from_base(
                     j,
                     coeffs[j],
                     tuple(x - m * y for x, y in zip(pairs, columns[k])),
-                    tuple(x - n * y for x, y in zip(copairs, cartan[k])) if check else None,
+                    tuple(x - n * y for x, y in zip(copairs, cartan[k])),
                 ))
     if None in coeffs:
         raise NotARootSystemError("root outside the Weyl orbit of the base")
@@ -644,24 +639,20 @@ def _base_search(roots: Sequence[Vector], positive: Sequence[int]) -> tuple[int,
 def _derive(datum: RootDatum) -> _Derived:
     rank, roots, coroots = datum.rank, datum.roots, datum.coroots
     lookup = {r: i for i, r in enumerate(roots)}
-    # swapping the sides keeps the axioms, so a valid dual vouches for the
-    # datum; otherwise the fast check of validate() runs, and where it fails
-    # the full validator words the violations
-    twin = _DERIVED.get(dual(datum))
-    check = twin is None or bool(twin.violations)
-    if check and not _pairs_hold(datum, lookup):
+    # the fast check of validate(); where it fails the full validator words
+    # the violations
+    if not _pairs_hold(datum, lookup):
         violations = tuple(_check_axioms(datum))
         if violations:
             return _Derived(violations)
-        check = False  # the full validator has accepted the datum
     zero = (0,) * rank
     positive = tuple(i for i, r in enumerate(roots) if r > zero)
     pos = set(positive)
     simple = _base_search(roots, positive)
     try:
-        coefficients, cartan = _walk_from_base(roots, coroots, lookup, simple, check)
+        coefficients, cartan = _walk_from_base(roots, coroots, lookup, simple)
     except NotARootSystemError:
-        violations = tuple(_check_axioms(datum)) if check else ()
+        violations = tuple(_check_axioms(datum))
         if violations:
             return _Derived(violations)
         raise

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Callable
 
 from . import certificates, primes, standardness, subsystems
-from .intlin import IntMatrix, primes_upto, relative_divisors, smith_normal_form
+from .intlin import FinAbGroup, IntMatrix, primes_upto, relative_divisors, smith_normal_form
 from .primes import report
 from .rootdatum import direct_sum, dual, is_semisimple, preset, root_lattice_quotient
 from .sampling import random_int_matrix, random_type_a_datum
@@ -70,43 +70,32 @@ def criterion_1_worked_facts(limit: int) -> str:
     assert primes.pretty_good(sl2, 3), "3 must be pretty good for SL2"
     return "GL2 / SL2 / PGL2 facts reproduced"
 
-def criterion_2_good_equivalence(limit: int) -> str:
-    """Classical bad-prime criterion == subset-torsion criterion."""
-    sample = _small_sample(limit)
+
+def _oracle_agreement(limit: int, fast, oracle, label: str) -> str:
+    """The fast predicate == the brute-force oracle on every sample datum at p = 2, 3, 5, 7."""
     checks = 0
-    for datum in sample:
+    for datum in _small_sample(limit):
         for p in (2, 3, 5, 7):
-            classical = primes.good(datum, p)
-            torsion = primes.good_via_torsion(datum, p, exhaustive_limit=limit)
-            assert classical == torsion, f"good mismatch at p={p} on a {datum.num_roots}-root datum"
+            assert fast(datum, p) == oracle(datum, p, exhaustive_limit=limit), (
+                f"{label} mismatch at p={p} on a {datum.num_roots}-root datum"
+            )
             checks += 1
     return f"{checks} (datum, p) pairs agree on both routes"
+
+
+def criterion_2_good_equivalence(limit: int) -> str:
+    """Classical bad-prime criterion == subset-torsion criterion."""
+    return _oracle_agreement(limit, primes.good, primes.good_via_torsion, "good")
 
 
 def criterion_3_very_good_equivalence(limit: int) -> str:
     """Classical very-good criterion == weight-lattice subset-torsion criterion."""
-    sample = _small_sample(limit)
-    checks = 0
-    for datum in sample:
-        for p in (2, 3, 5, 7):
-            classical = primes.very_good(datum, p)
-            torsion = primes.very_good_via_torsion(datum, p, exhaustive_limit=limit)
-            assert classical == torsion, f"very-good mismatch at p={p}"
-            checks += 1
-    return f"{checks} (datum, p) pairs agree on both routes"
+    return _oracle_agreement(limit, primes.very_good, primes.very_good_via_torsion, "very-good")
 
 
 def criterion_4_pretty_good_equivalence(limit: int) -> str:
     """Fast pretty-good criterion == subset-quantified definition."""
-    sample = _small_sample(limit)
-    checks = 0
-    for datum in sample:
-        for p in (2, 3, 5, 7):
-            fast = primes.pretty_good(datum, p)
-            brute = primes.pretty_good_bruteforce(datum, p, exhaustive_limit=limit)
-            assert fast == brute, f"pretty-good mismatch at p={p}"
-            checks += 1
-    return f"{checks} (datum, p) pairs agree on both routes"
+    return _oracle_agreement(limit, primes.pretty_good, primes.pretty_good_bruteforce, "pretty-good")
 
 
 def criterion_5_implication_laws(limit: int) -> str:
@@ -148,11 +137,7 @@ def criterion_6_crossing_law(limit: int) -> str:
                             continue
                         subset = subsystems.cross_out_node(datum, h.component, node)
                         quotient = root_lattice_quotient(datum, subset.sorted_indices)
-                        p_part = 1
-                        mm = m
-                        while mm % p == 0:
-                            mm //= p
-                            p_part *= p
+                        (p_part,) = FinAbGroup((m,), 0).p_part(p)
                         assert quotient.p_part(p) == (p_part,), (
                             f"{iso}({t}) p={p} node={node}: expected cyclic p-part {p_part}, "
                             f"got {quotient.p_part(p)}"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadPrimeError
-from .intlin import IntMatrix, is_prime, rank_mod_p, snf_divisors
+from .intlin import IntMatrix, check_prime, rank_mod_p, snf_divisors
 from .primes import bad_primes, failing_type_a_positions, pretty_good
 from .rootdatum import RootDatum, components, ensure_valid, simple_system
 
@@ -92,8 +92,7 @@ def decompose(datum: RootDatum, p: int) -> Decomposition:
     very-goodness is forced to be type A with p dividing rank+1; anything
     else indicates an upstream bug.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if p in bad_primes(datum):
         raise BadPrimeError(f"{p} is a bad prime for this datum")
     failing = failing_type_a_positions(datum, p)
@@ -123,8 +122,7 @@ def check_gluing(matrix: IntMatrix, exponents, p: int) -> GluingCheck:
         raise ValueError("shape mismatch: matrix must have at least as many columns as rows")
     if any(e < 1 for e in exponents):
         raise ValueError("all exponents must be >= 1")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     divisors = snf_divisors(matrix)
     via_divisors = all(d != 0 and d % p != 0 for d in divisors)
     via_rank = rank_mod_p(matrix, p) == matrix.rows

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootprimes.errors import TooLargeError
-from rootprimes.intlin import IntMatrix, row_basis, snf_divisors
-from rootprimes.oracles import _full_sweep_exponent, _join, _sublattice_classes, _subset_lattices
+from rootprimes.intlin import IntMatrix, join_row, row_basis, snf_divisors
+from rootprimes.oracles import _full_sweep_exponent, _sublattice_classes, _subset_lattices
 from rootprimes.primes import (
     bad_primes,
     center_smooth,
@@ -342,6 +342,26 @@ def test_checks_run_before_the_cached_exponent(monkeypatch):
             oracle(bad, 3)
 
 
+# the rank-<=8 presets with at most 12 roots on which no other test runs
+# all four oracles
+UNSAMPLED_ORACLE_PRESETS = (
+    "SC(D2)", "AD(D2)", "SC(D3)", "AD(D3)", "GL(1)", "GL(4)",
+    "Torus(0)", "Torus(1)", "Torus(3)", "Sum(AD(A3), Torus(1))",
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_oracles_match_the_fast_predicates_on_the_unsampled_presets(seed):
+    rng = random.Random(seed)
+    fast = (good, very_good, pretty_good, pretty_good)
+    for name in UNSAMPLED_ORACLE_PRESETS:
+        for datum in (preset(name), dual(preset(name))):
+            rebased = _rebased(datum, rng)
+            for oracle, predicate in zip(ORACLES, fast):
+                for p in (2, 3, 5, 7):
+                    assert oracle(rebased, p) == predicate(rebased, p), f"{oracle.__name__} on {name} at p={p}"
+
+
 # ---------------------------------------------------------------------------
 # The class pass and the join chain against the from-scratch sweeps they
 # replaced: a Hermite basis built from scratch for each of the
@@ -422,8 +442,11 @@ def test_join_is_the_row_basis_of_the_rows_so_far():
         rng.shuffle(rows)
         basis = IntMatrix(0, cols, ())
         for k, row in enumerate(rows):
-            joined = _join(basis, row)
+            joined = join_row(basis, row)
             assert joined == row_basis(IntMatrix.from_rows(rows[: k + 1], cols=cols)), f"trial {trial}, row {k}"
             if joined == basis:
                 assert joined is basis
             basis = joined
+    # with no columns the zero lattice is the only lattice
+    empty = IntMatrix(0, 0, ())
+    assert join_row(empty, ()) is empty
