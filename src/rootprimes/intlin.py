@@ -69,7 +69,10 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
-        data = [tuple(int(x) for x in row) for row in rows]
+        data = [tuple(row) for row in rows]
+        for x in chain.from_iterable(data):
+            if type(x) is not int:
+                strict_int(x)
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
@@ -93,7 +96,7 @@ class IntMatrix:
     def diagonal(cls, diag: Sequence[int], rows: int, cols: int) -> "IntMatrix":
         m = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(diag):
-            m[i][i] = int(d)
+            m[i][i] = strict_int(d)
         return cls.from_rows(m, cols=cols)
 
     def at(self, i: int, j: int) -> int:
@@ -118,12 +121,11 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        out = []
-        other_cols = [other.column(j) for j in range(other.cols)]
-        for i in range(self.rows):
-            r = self.row(i)
-            out.append([dot(r, c) for c in other_cols])
-        return IntMatrix.from_rows(out, cols=other.cols)
+        if not other.rows:  # no terms to sum, and no columns to build
+            return IntMatrix.zeros(self.rows, other.cols)
+        rows = [self.row(i) for i in range(self.rows)]
+        other_cols = list(zip(*(other.row(k) for k in range(other.rows))))
+        return IntMatrix(self.rows, other.cols, tuple(sum(map(mul, r, c)) for r in rows for c in other_cols))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -9,13 +9,15 @@ those definitions on small data.
 Every quotient above depends only on the lattice a subset spans, and any
 subset spans the same lattice as a subset of positive roots (negating a
 generator changes nothing), so the class pass enumerates lattices, not
-subsets.  It is a closure search: start from the zero lattice, join each
-positive root to each lattice found, and keep one Hermite basis per lattice
-with a subset that spans it.  Every subset's lattice is reached through its
-prefixes.  One pass per datum yields the good, very-good and X-side
-exponents together.  The coroot subsets range over exactly the root subsets
-of the dual datum, so pretty good reads the X-side exponents of the datum
-and of its dual.
+subsets.  It runs on the coefficient rows over the base, a Z-basis of
+Z.roots, in Z^|base|: a closure search from the zero lattice joins each
+positive root's row to each lattice found and keeps one Hermite basis M per
+lattice.  Z.roots / Z.subset is presented by M, the weight lattice modulo
+Z.subset by M P (a root with row c pairs with the simple coroots as c P)
+and X / Z.subset by M B (B the simple roots in X), so one pass per datum
+yields the good, very-good and X-side exponents together.  The coroot
+subsets range over exactly the root subsets of the dual datum, so pretty
+good reads the X-side exponents of the datum and of its dual.
 
 The full sweep is the second tier, with no class reduction: it visits every
 subset of the roots and every subset of the coroots.  A subset's lattice is
@@ -34,48 +36,49 @@ import math
 from typing import Sequence
 
 from .errors import TooLargeError
-from .intlin import IntMatrix, check_prime, join_row, quotient_group, snf_divisors
+from .intlin import IntMatrix, check_prime, join_row, snf_divisors
 from .rootdatum import (
     RootDatum,
+    base_pairing,
     dual,
     ensure_valid,
     positive_roots,
-    root_lattice_quotient,
-    weight_quotient_of_lattice,
+    root_coefficients,
+    simple_system,
 )
 
 
-def _sublattice_classes(datum: RootDatum) -> dict[IntMatrix, tuple[int, ...]]:
-    """Hermite basis of every lattice spanned by roots -> positive root indices that span it.
+def _sublattice_classes(rows: Sequence[Sequence[int]], width: int) -> list[IntMatrix]:
+    """The Hermite bases of the lattices spanned by subsets of ``rows``, each distinct one once.
 
     A closure search from the zero lattice (the empty subset): each lattice
-    found is joined with every positive root, and a new lattice keeps the
-    subset of the lattice it came from plus that root.
+    found is joined with every row.
     """
-    pos = positive_roots(datum)
-    zero = IntMatrix(0, datum.rank, ())
-    classes = {zero: ()}
+    zero = IntMatrix(0, width, ())
+    seen = {zero}
     found = [zero]
     for basis in found:  # grows while it is walked
-        subset = classes[basis]
-        for k in pos:
-            joined = join_row(basis, datum.roots[k])
-            if joined not in classes:
-                classes[joined] = subset + (k,)
+        for row in rows:
+            joined = join_row(basis, row)
+            if joined not in seen:
+                seen.add(joined)
                 found.append(joined)
-    return classes
+    return found
+
+
+def _exponent(matrices) -> int:
+    """lcm of the nonzero Smith divisors of the matrices: the exponent of their quotients' torsion."""
+    return math.lcm(*{d for m in matrices for d in snf_divisors(m) if d})
 
 
 def _class_exponents(datum: RootDatum) -> tuple[int, int, int]:
-    """(good, very-good, X-side) exponents of the datum, from one class pass."""
-    good: set[int] = set()
-    very_good: set[int] = set()
-    side: set[int] = set()
-    for basis, subset in _sublattice_classes(datum).items():
-        good.update(root_lattice_quotient(datum, subset).torsion)
-        very_good.update(weight_quotient_of_lattice(datum, basis).torsion)
-        side.update(quotient_group(datum.rank, basis).torsion)
-    return math.lcm(*good), math.lcm(*very_good), math.lcm(*side)
+    """(good, very-good, X-side) exponents of the datum: the Smith forms of M, M P and M B per class M."""
+    simple = simple_system(datum)
+    coefficients = root_coefficients(datum)
+    base = IntMatrix.from_rows([datum.roots[a] for a in simple], cols=datum.rank)
+    pairing = base_pairing(datum)
+    classes = _sublattice_classes([coefficients[k] for k in positive_roots(datum)], len(simple))
+    return _exponent(classes), _exponent(m @ pairing for m in classes), _exponent(m @ base for m in classes)
 
 
 def _subset_lattices(vectors: Sequence[Sequence[int]], rank: int) -> list[IntMatrix]:
@@ -111,8 +114,7 @@ def _subset_lattices(vectors: Sequence[Sequence[int]], rank: int) -> list[IntMat
 
 def _full_sweep_exponent(datum: RootDatum) -> int:
     """lcm of the torsion of X / Z.subset and Y / Z.subset^vee over literally every subset."""
-    lattices = _subset_lattices(datum.roots, datum.rank) + _subset_lattices(datum.coroots, datum.rank)
-    return math.lcm(*{d for basis in lattices for d in snf_divisors(basis) if d})
+    return _exponent(_subset_lattices(datum.roots, datum.rank) + _subset_lattices(datum.coroots, datum.rank))
 
 
 # (oracle kind, datum) -> the datum's torsion exponent for that oracle
@@ -157,8 +159,7 @@ def _oracle(kind: str, datum: RootDatum, p: int, exhaustive_limit: int) -> bool:
 def good_via_torsion(datum: RootDatum, p: int, exhaustive_limit: int = 18) -> bool:
     """Good by definition: Z.roots / Z.subset has no p-torsion for any subset.
 
-    The exponent comes from the class pass over the root-spanned lattices,
-    each presented by the coefficient rows of its stored subset.
+    The exponent comes from the class pass over the root-spanned lattices.
     """
     return _oracle("good", datum, p, exhaustive_limit)
 

@@ -8,7 +8,7 @@ of the matching coroot subset are free of p-torsion.
 This module holds the production path.  Its pretty-good test uses the
 equivalent finite criterion (good, plus p-torsion-freeness of X/Z.roots and
 Y/Z.coroots).  The subset-quantified definitions live in
-:mod:`rootprimes.oracles` as brute-force oracles and are re-exported here.
+:mod:`rootprimes.oracles` as brute-force oracles.
 """
 
 from __future__ import annotations
@@ -17,12 +17,6 @@ from dataclasses import dataclass
 
 from .intlin import check_prime as _check_prime
 from .intlin import p_torsion_free
-from .oracles import (  # noqa: F401  (re-exported)
-    good_via_torsion,
-    pretty_good_bruteforce,
-    pretty_good_full_sweep,
-    very_good_via_torsion,
-)
 from .rootdatum import (
     RootDatum,
     bad_primes,
@@ -98,7 +92,8 @@ def pretty_good(datum: RootDatum, p: int) -> bool:
     """Good plus p-torsion-freeness of X/Z.roots and Y/Z.coroots.
 
     Equivalent to the subset-quantified definition; the equivalence is
-    re-verified against :func:`pretty_good_bruteforce` by the test suite.
+    re-verified against :func:`rootprimes.oracles.pretty_good_bruteforce` by
+    the test suite.
     """
     _check_prime(p)
     if not good(datum, p):

@@ -12,14 +12,15 @@ twice another (data are reduced), and each reflection
 ``x -> x - <x, a^vee> a`` permutes the roots while its dual
 ``y -> y - <a, y> a^vee`` permutes the coroots.  The last axiom is checked
 through the simple reflections only; see :func:`validate`.  The data derived
-from a datum (its violations, base, root coefficients, components, highest
-roots, bad primes, X/Z.roots and Y/Z.coroots) are computed together on first
-use and kept in one record.  They come from one ordered pass.  One sweep
-over the positive roots in lexicographic order finds the base.  One search
-along the simple reflections, stepping once per +-pair of roots and
-carrying each root's pairings with the simple coroots from root to root,
-gives the root coefficients.  The base's Cartan matrix, computed once for
-that search, also groups and orders the components.
+from a datum (its violations, base, root coefficients, the base's Cartan
+matrix, components, highest roots, bad primes, X/Z.roots and Y/Z.coroots)
+are computed together on first use and kept in one record.  They come
+from one ordered pass.  One sweep over the positive roots in lexicographic
+order finds the base.  One search along the simple reflections, stepping
+once per +-pair of roots and carrying each root's pairings with the simple
+coroots from root to root, gives the root coefficients.  The base's Cartan
+matrix, computed once for that search, also groups and orders the
+components.
 
 Cartan matrices follow the convention ``C[i][j] = <alpha_j, alpha_i^vee>``,
 with Bourbaki Planche node numbering (Groupes et algebres de Lie, ch. VI),
@@ -42,7 +43,6 @@ from .intlin import (
     dot,
     prime_factors,
     quotient_group,
-    row_basis,
     strict_int,
 )
 
@@ -489,14 +489,13 @@ def _bourbaki_order(nodes: list[int], c) -> tuple[str, int, list[int]]:
     k = len(nodes)
     pairing = [[c(i, j) for j in nodes] for i in nodes]
     rows = sorted(sorted(row) for row in pairing)
-    det = IntMatrix.from_rows(pairing, cols=k).det()
     # A before D and C before B, so A3 = D3 comes out as A3 and B2 = C2 as C2
     for series in "ACBDEFG":
         if not _SERIES_RANKS[series](k):
             continue
         catalog = cartan_matrix(series, k)
         catalog_rows = [catalog.row(a) for a in range(k)]
-        if sorted(sorted(row) for row in catalog_rows) != rows or catalog.det() != det:
+        if sorted(sorted(row) for row in catalog_rows) != rows:
             continue
         order = _first_match(pairing, catalog_rows)
         if order is not None:
@@ -515,6 +514,7 @@ class _Derived:
     positive: tuple[int, ...] = ()
     simple: tuple[int, ...] = ()
     coefficients: tuple[tuple[int, ...], ...] = ()
+    cartan: tuple[tuple[int, ...], ...] = ()
     components: tuple[Component, ...] = ()
     highest_roots: tuple[HighestRoot, ...] = ()
     bad_primes: frozenset[int] = frozenset()
@@ -645,7 +645,7 @@ def _derive(datum: RootDatum) -> _Derived:
         violations = tuple(_check_axioms(datum))
         if violations:
             return _Derived(violations)
-    zero = (0,) * rank
+    zero = (0,) * rank if roots else ()  # no rank-length tuple for a rootless datum
     positive = tuple(i for i, r in enumerate(roots) if r > zero)
     pos = set(positive)
     simple = _base_search(roots, positive)
@@ -691,6 +691,7 @@ def _derive(datum: RootDatum) -> _Derived:
         positive,
         simple,
         coefficients,
+        cartan,
         tuple(comps),
         tuple(highest),
         frozenset(q for h in highest for m in h.coefficients for q in prime_factors(m)),
@@ -735,6 +736,15 @@ def root_coefficients(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     pairings of alpha_i, a column of the base's Cartan matrix.
     """
     return _valid(datum).coefficients
+
+
+def base_pairing(datum: RootDatum) -> IntMatrix:
+    """P[a][b] = <alpha_a, alpha_b^vee>, the transpose of the base's Cartan matrix.
+
+    A root with coefficient row c pairs with the simple coroots as c P.
+    """
+    cartan = _valid(datum).cartan
+    return IntMatrix(len(cartan), len(cartan), tuple(x for column in zip(*cartan) for x in column))
 
 
 def components(datum: RootDatum) -> tuple[Component, ...]:
@@ -799,35 +809,22 @@ def y_mod_coroot_lattice(datum: RootDatum) -> FinAbGroup:
     return _valid(datum).y_mod_coroot_lattice
 
 
-def weight_quotient_of_lattice(datum: RootDatum, sub_rows: IntMatrix) -> FinAbGroup:
-    """Lambda / L for a sublattice L of the weight lattice, rows in X-coords.
-
-    Pairing with the simple coroots is injective on the rational span of the
-    roots and maps Lambda onto Z^|base|, each fundamental weight to a unit
-    vector, so Lambda / L is Z^|base| modulo the pairings of L's rows.  A
-    row outside the rational span of the roots, which is all of X when the
-    datum is semisimple, raises ValueError.
-    """
-    simple = simple_system(datum)
-    stacked = [datum.roots[i] for i in simple] + sub_rows.to_rows()
-    if len(simple) < datum.rank and row_basis(IntMatrix.from_rows(stacked, cols=datum.rank)).rows > len(simple):
-        raise ValueError("sublattice is not inside the weight lattice")
-    return quotient_group(len(simple), sub_rows @ _base_rows(datum.rank, datum.coroots, simple).transpose())
-
-
 def weight_lattice_quotients(datum: RootDatum, subset: Iterable[int]) -> FinAbGroup:
     """Lambda / Z.subset for a subset of root indices.
 
     Lambda is the weight lattice of the full root system: the dual of the
-    coroot lattice inside the rational span of the roots.
+    coroot lattice inside the rational span of the roots.  Pairing with the
+    simple coroots maps it onto Z^|base|, so Lambda / Z.subset is Z^|base|
+    modulo C P, with C the subset's coefficient rows (see :func:`base_pairing`).
     """
-    ensure_valid(datum)
+    rec = _valid(datum)
     idx = sorted(set(subset))
     for i in idx:
         if not 0 <= i < datum.num_roots:
             raise ValueError(f"root index {i} out of range")
-    sub = IntMatrix.from_rows([datum.roots[i] for i in idx], cols=datum.rank)
-    return weight_quotient_of_lattice(datum, sub)
+    n = len(rec.simple)
+    rows = IntMatrix.from_rows([rec.coefficients[i] for i in idx], cols=n)
+    return quotient_group(n, rows @ base_pairing(datum))
 
 
 def same_datum(a: RootDatum, b: RootDatum) -> bool:

@@ -15,7 +15,7 @@ import random
 from itertools import combinations
 from typing import Callable
 
-from . import certificates, primes, standardness, subsystems
+from . import certificates, oracles, primes, standardness, subsystems
 from .intlin import FinAbGroup, IntMatrix, primes_upto, relative_divisors, smith_normal_form
 from .primes import report
 from .rootdatum import direct_sum, dual, is_semisimple, preset, root_lattice_quotient
@@ -85,17 +85,17 @@ def _oracle_agreement(limit: int, fast, oracle, label: str) -> str:
 
 def criterion_2_good_equivalence(limit: int) -> str:
     """Classical bad-prime criterion == subset-torsion criterion."""
-    return _oracle_agreement(limit, primes.good, primes.good_via_torsion, "good")
+    return _oracle_agreement(limit, primes.good, oracles.good_via_torsion, "good")
 
 
 def criterion_3_very_good_equivalence(limit: int) -> str:
     """Classical very-good criterion == weight-lattice subset-torsion criterion."""
-    return _oracle_agreement(limit, primes.very_good, primes.very_good_via_torsion, "very-good")
+    return _oracle_agreement(limit, primes.very_good, oracles.very_good_via_torsion, "very-good")
 
 
 def criterion_4_pretty_good_equivalence(limit: int) -> str:
     """Fast pretty-good criterion == subset-quantified definition."""
-    return _oracle_agreement(limit, primes.pretty_good, primes.pretty_good_bruteforce, "pretty-good")
+    return _oracle_agreement(limit, primes.pretty_good, oracles.pretty_good_bruteforce, "pretty-good")
 
 
 def criterion_5_implication_laws(limit: int) -> str:

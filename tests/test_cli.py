@@ -133,6 +133,26 @@ def test_dual_and_sum(capsys):
     assert payload["rank"] == 2
 
 
+def test_a_rootless_datum_of_huge_rank_runs_every_command(capsys, tmp_path):
+    from rootprimes.certificates import Certificate, verify_certificate
+
+    rank = 10**19
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"rank": rank, "roots": [], "coroots": []}))
+    _, torus1, _ = run(capsys, "primes", "Torus(1)")
+    for datum in (f"Torus({rank})", str(path)):
+        assert run(capsys, "validate", datum)[:2] == (0, "ok\n")
+        code, out, _ = run(capsys, "primes", datum)
+        assert code == 0 and out == torus1
+        assert run(capsys, "classify", datum, "5")[0] == 0
+        code, out, _ = run(capsys, "decompose", datum, "5")
+        assert code == 0 and json.loads(out)["torus_rank"] == rank
+        code, out, _ = run(capsys, "certificate", datum, "2")
+        cert = Certificate.from_json(out)
+        assert code == 0 and cert.kind == "pretty-good-proof" and verify_certificate(cert)
+        assert cert.payload["x_mod_root_lattice"]["free_rank"] == rank
+
+
 def test_snf_inline_and_file(capsys, tmp_path):
     code, out, _ = run(capsys, "snf", "[[2,4],[6,8]]")
     assert code == 0

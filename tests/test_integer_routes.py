@@ -2,10 +2,10 @@
 
 Positive roots come from the sign of the first nonzero coordinate, root
 coefficients from a breadth-first search along simple reflections, the
-weight quotient Lambda / L from pairing L with the simple coroots, and the
-quotients X/Z.roots, Y/Z.coroots from the simple rows only.  Each is checked
-against a weighted functional, a direct computation over all roots or one
-over the rationals.  The derived record is checked to derive each datum
+weight quotient Lambda / Z.subset from the subset's coefficient rows times
+the base's pairing matrix, and the quotients X/Z.roots, Y/Z.coroots from the
+simple rows only.  Each is checked against a weighted functional, a direct
+computation over all roots or one over the rationals.  The derived record is checked to derive each datum
 once, to run the fast check on a datum and on its dual alike, and to run
 the full validator only on invalid data.  Every lattice quotient and relative
 divisor chain comes from one Smith form of the generators; the Hermite basis
@@ -37,7 +37,6 @@ from rootprimes.rootdatum import (
     components,
     direct_sum,
     dual,
-    general_linear,
     positive_roots,
     preset,
     root_coefficients,
@@ -45,7 +44,7 @@ from rootprimes.rootdatum import (
     simple_system,
     torus,
     validate,
-    weight_quotient_of_lattice,
+    weight_lattice_quotients,
     x_mod_root_lattice,
     y_mod_coroot_lattice,
 )
@@ -145,14 +144,7 @@ def test_weight_quotient_matches_a_rational_inverse():
             rows = [d.roots[i] for i in sorted(subset)]
             coords = [big.coords(tuple(scale * x for x in row)) for row in rows]
             expected = quotient_group(big.rank, IntMatrix.from_rows(coords, cols=big.rank))
-            assert weight_quotient_of_lattice(d, IntMatrix.from_rows(rows, cols=d.rank)) == expected
-
-
-def test_weight_quotient_rejects_rows_outside_the_span_of_the_roots():
-    outside = ((general_linear(2), (1, 1)), (torus(2), (0, 1)), (preset("Sum(SC(A2), Torus(1))"), (1, 0, 1)))
-    for d, row in outside:
-        with pytest.raises(ValueError, match="not inside the weight lattice"):
-            weight_quotient_of_lattice(d, IntMatrix.from_rows([row], cols=d.rank))
+            assert weight_lattice_quotients(d, subset) == expected
 
 
 def _weighted_positive_roots(d):

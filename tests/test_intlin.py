@@ -262,6 +262,20 @@ def test_strict_matrix():
             strict_matrix(bad)
 
 
+def test_int_matrix_rejects_entries_that_are_not_ints():
+    for bad in (1.7, 2.0, True, False, "1"):
+        with pytest.raises(ValueError, match="expected an integer"):
+            IntMatrix.from_rows([[1, bad]])
+        with pytest.raises(ValueError, match="expected an integer"):
+            IntMatrix.diagonal([1, bad], 2, 2)
+    assert IntMatrix.diagonal([3, -2], 2, 3) == IntMatrix.from_rows([[3, 0, 0], [0, -2, 0]])
+    # products built inside the library skip the check and keep their shape
+    a = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert a @ IntMatrix.identity(2) == a
+    assert a @ IntMatrix.zeros(2, 0) == IntMatrix.zeros(3, 0)
+    assert IntMatrix.zeros(2, 0) @ IntMatrix.zeros(0, 3) == IntMatrix.zeros(2, 3)
+
+
 def test_bareiss_determinant():
     rng = random.Random(8)
     # cross-check against cofactor expansion on small matrices

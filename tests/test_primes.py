@@ -8,22 +8,34 @@ from hypothesis import strategies as st
 
 from rootprimes.errors import TooLargeError
 from rootprimes.intlin import IntMatrix, join_row, row_basis, snf_divisors
-from rootprimes.oracles import _full_sweep_exponent, _sublattice_classes, _subset_lattices
+from rootprimes.oracles import (
+    _full_sweep_exponent,
+    _sublattice_classes,
+    _subset_lattices,
+    good_via_torsion,
+    pretty_good_bruteforce,
+    pretty_good_full_sweep,
+    very_good_via_torsion,
+)
 from rootprimes.primes import (
     bad_primes,
     center_smooth,
     dual_center_smooth,
     failing_prime_bound,
     good,
-    good_via_torsion,
     pretty_good,
-    pretty_good_bruteforce,
-    pretty_good_full_sweep,
     report,
     very_good,
-    very_good_via_torsion,
 )
-from rootprimes.rootdatum import direct_sum, dual, is_semisimple, positive_roots, preset
+from rootprimes.rootdatum import (
+    direct_sum,
+    dual,
+    is_semisimple,
+    positive_roots,
+    preset,
+    root_coefficients,
+    simple_system,
+)
 from rootprimes.sampling import random_int_matrix
 from rootprimes.selftest import SMALL_PRESET_CANDIDATES
 
@@ -168,15 +180,14 @@ def test_good_equals_not_bad():
             assert good(datum, p) == (p not in bad_primes(datum))
 
 
-def _literal_subset_sweep(datum, p, quotient_of_lattice):
+def _literal_subset_sweep(datum, p, quotient_of_subset):
     """Quantify over every subset of the roots, no class reduction."""
-    from rootprimes.intlin import IntMatrix, p_torsion_free
+    from rootprimes.intlin import p_torsion_free
 
     n = datum.num_roots
     for mask in range(1 << n):
-        rows = [datum.roots[i] for i in range(n) if mask >> i & 1]
-        sub = IntMatrix.from_rows(rows, cols=datum.rank)
-        if not p_torsion_free(quotient_of_lattice(datum, sub), p):
+        subset = [i for i in range(n) if mask >> i & 1]
+        if not p_torsion_free(quotient_of_subset(datum, subset), p):
             return False
     return True
 
@@ -189,9 +200,9 @@ def test_good_oracle_matches_literal_sweep():
         """Z.roots inside X, as the row lattice of the base."""
         return RowLattice(IntMatrix.from_rows([datum.roots[i] for i in simple_system(datum)], cols=datum.rank))
 
-    def root_quotient(datum, sub):
+    def root_quotient(datum, subset):
         anchor = root_lattice(datum)
-        coords = [anchor.coords(sub.row(i)) for i in range(sub.rows)]
+        coords = [anchor.coords(datum.roots[i]) for i in subset]
         return quotient_group(anchor.rank, IntMatrix.from_rows(coords, cols=anchor.rank))
 
     for name in ("SC(A1)", "AD(A2)", "SC(B2)", "GL(3)", "Sum(SC(A1), SC(A1))"):
@@ -203,12 +214,12 @@ def test_good_oracle_matches_literal_sweep():
 
 
 def test_very_good_oracle_matches_literal_sweep():
-    from rootprimes.rootdatum import weight_quotient_of_lattice
+    from rootprimes.rootdatum import weight_lattice_quotients
 
     for name in ("SC(A1)", "AD(A2)", "SC(B2)", "GL(2)", "Sum(SC(A1), Torus(1))"):
         datum = preset(name)
         for p in (2, 3):
-            literal = _literal_subset_sweep(datum, p, weight_quotient_of_lattice)
+            literal = _literal_subset_sweep(datum, p, weight_lattice_quotients)
             assert very_good_via_torsion(datum, p) == literal
 
 
@@ -362,6 +373,16 @@ def test_the_oracles_match_the_fast_predicates_on_the_unsampled_presets(seed):
                     assert oracle(rebased, p) == predicate(rebased, p), f"{oracle.__name__} on {name} at p={p}"
 
 
+def test_the_class_oracles_match_the_fast_predicates_on_rank_5_and_f4():
+    fast = (good, very_good, pretty_good)
+    for name in ("SC(A5)", "AD(A5)", "SC(D5)", "AD(D5)", "SC(F4)", "AD(F4)"):
+        for datum in (preset(name), dual(preset(name))):
+            for oracle, predicate in zip(ORACLES, fast):
+                for p in (2, 3, 5, 7):
+                    verdict = oracle(datum, p, exhaustive_limit=48)
+                    assert verdict == predicate(datum, p), f"{oracle.__name__} on {name} at p={p}"
+
+
 # ---------------------------------------------------------------------------
 # The class pass and the join chain against the from-scratch sweeps they
 # replaced: a Hermite basis built from scratch for each of the
@@ -397,10 +418,13 @@ def _subset_exponent(name):
 
 def _check_against_references(name, datum):
     """The class pass on ``datum``, a form of preset ``name``, against the masks; returns the class count."""
-    classes = _sublattice_classes(datum)
-    assert set(classes) == _mask_classes(datum), name
-    for basis, subset in classes.items():
-        assert _span(datum, subset) == basis, f"{name}: the subset {subset} does not span its basis"
+    coefficients = root_coefficients(datum)
+    base = IntMatrix.from_rows([datum.roots[a] for a in simple_system(datum)], cols=datum.rank)
+    found = _sublattice_classes([coefficients[k] for k in positive_roots(datum)], base.rows)
+    # the base is a Z-basis of Z.roots, so M -> M B maps the lattices of
+    # coefficient rows one to one onto the root-spanned lattices of X
+    classes = {row_basis(basis @ base) for basis in found}
+    assert len(classes) == len(found) and classes == _mask_classes(datum), name
     if datum.num_roots <= FULL_SWEEP_ROOTS:
         # every root subset spans what a positive one does, so the join chain
         # numbers exactly the classes, each once
