@@ -28,11 +28,9 @@ from dataclasses import dataclass
 from .errors import ClassificationGapError
 from .intlin import (
     FinAbGroup,
-    IntMatrix,
     check_prime,
     is_prime,
     p_torsion_free,
-    quotient_group,
     strict_int,
     strict_list,
     strict_matrix,
@@ -156,8 +154,7 @@ def _coxeter_witness(datum: RootDatum, p: int):
     if not failing:
         return None
     s = _coxeter_for_components(datum, failing)
-    image_rows = (s.matrix - IntMatrix.identity(datum.rank)).transpose()
-    group = quotient_group(datum.rank, image_rows)
+    group = s.coinvariants()
     if p_torsion_free(group, p):
         return None
     return s, group
@@ -309,6 +306,5 @@ def verify_certificate(cert: Certificate) -> bool:
     w = WeylElement(matrix)
     if not matrix.is_unimodular() or not w.permutes_roots(side_datum):
         return False
-    image_rows = (matrix - IntMatrix.identity(side_datum.rank)).transpose()
-    group = quotient_group(side_datum.rank, image_rows)
+    group = w.coinvariants()
     return fields["character_quotient"] == group and not p_torsion_free(group, p)

@@ -6,8 +6,13 @@ normal forms with unimodular transforms, row lattices with membership and
 coordinate queries, and invariant factors of finitely generated abelian
 groups (quotients of ``Z^r`` by a row lattice).  A quotient is read off one
 Smith form of its generators, redundant or not, with no Hermite step and no
-transforms; a row-lattice basis is a Hermite form built without its
-transform.
+transforms.
+
+Each normal form has one kernel.  A transform is an identity block set
+beside the matrix (U) or below it (V); the kernel picks its pivots in the
+matrix's own block, its row and column steps carry the identity blocks
+along, and the transforms are sliced out at the end.  A row-lattice basis
+is built by :func:`join_row`, one row at a time from the zero basis.
 
 Matrices follow the row convention: the lattice spanned by a matrix is the
 integer span of its rows.
@@ -191,58 +196,50 @@ def smith_normal_form(M: IntMatrix) -> SmithForm:
     """Smith normal form with transforms.
 
     Pivots are chosen by smallest nonzero absolute value to limit coefficient
-    growth; all arithmetic is exact.
+    growth; all arithmetic is exact.  The form is taken of the block matrix
+    [[M, I], [I, 0]] with pivots in its top-left block: row steps build U in
+    the top-right block and column steps build V in the bottom-left one.
     """
-    d, U, V = _smith(M, with_transforms=True)
-    return SmithForm(U=U, V=V, divisors=d)
+    r, c = M.rows, M.cols
+    a = [row + e for row, e in zip(M.to_rows(), IntMatrix.identity(r).to_rows())]
+    a += [e + [0] * r for e in IntMatrix.identity(c).to_rows()]
+    divisors = _smith(a, r, c)
+    U = IntMatrix.from_rows([row[c:] for row in a[:r]], cols=r)
+    V = IntMatrix.from_rows([row[:c] for row in a[r:]], cols=c)
+    return SmithForm(U=U, V=V, divisors=divisors)
 
 
 def snf_divisors(M: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith normal form, skipping transform bookkeeping."""
-    d, _, _ = _smith(M, with_transforms=False)
-    return d
+    return _smith(M.to_rows(), M.rows, M.cols)
 
 
-def _smith(M: IntMatrix, with_transforms: bool):
-    r, c = M.rows, M.cols
-    a = M.to_rows()
-    U = [[int(i == j) for j in range(r)] for i in range(r)] if with_transforms else None
-    V = [[int(i == j) for j in range(c)] for i in range(c)] if with_transforms else None
+def _row_sub(a: list[list[int]], i: int, j: int, q: int):
+    """Row i of ``a`` minus q times row j, in place."""
+    ai, aj = a[i], a[j]
+    for k in range(len(ai)):
+        ai[k] -= q * aj[k]
+
+
+def _smith(a: list[list[int]], r: int, c: int) -> tuple[int, ...]:
+    """Diagonalize the top-left r x c block of the rows ``a`` in place and return its diagonal.
+
+    Pivots, clearing and the divisibility chain look at that block alone,
+    but every row step runs over whole rows and every column step over
+    whole columns, so blocks beside and below it record the transforms.
+    """
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def row_sub(i, j, q):
-        # row i -= q * row j
-        ai, aj = a[i], a[j]
-        for k in range(c):
-            ai[k] -= q * aj[k]
-        if U is not None:
-            ui, uj = U[i], U[j]
-            for k in range(r):
-                ui[k] -= q * uj[k]
 
     def col_sub(i, j, q):
         # col i -= q * col j
         for row in a:
             row[i] -= q * row[j]
-        if V is not None:
-            for row in V:
-                row[i] -= q * row[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
 
     n = min(r, c)
     t = 0
@@ -269,7 +266,7 @@ def _smith(M: IntMatrix, with_transforms: bool):
             for i in range(t + 1, r):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    row_sub(i, t, q)
+                    _row_sub(a, i, t, q)
                     if a[i][t]:
                         swap_rows(t, i)
                         changed = True
@@ -298,16 +295,13 @@ def _smith(M: IntMatrix, with_transforms: bool):
             if violation is not None:
                 break
         if violation is not None:
-            row_sub(t, violation, -1)  # add the offending row, then re-clear
+            _row_sub(a, t, violation, -1)  # add the offending row, then re-clear
             continue
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
 
-    divisors = tuple(a[i][i] for i in range(n))
-    if with_transforms:
-        return divisors, IntMatrix.from_rows(U, cols=r), IntMatrix.from_rows(V, cols=c)
-    return divisors, None, None
+    return tuple(a[i][i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +314,21 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
     H is in row echelon shape with positive pivots, zeros below each pivot,
     entries above a pivot reduced into [0, pivot), zero rows last.  H is the
-    canonical basis of the row lattice of M.
+    canonical basis of the row lattice of M.  The form is taken of [M | I]
+    with pivots in M's columns, so U builds up in the right block.
     """
-    a, U = _hermite(M, with_transform=True)
-    return IntMatrix.from_rows(a, cols=M.cols), IntMatrix.from_rows(U, cols=M.rows)
+    r, c = M.rows, M.cols
+    a = [row + e for row, e in zip(M.to_rows(), IntMatrix.identity(r).to_rows())]
+    _hermite(a, c)
+    return IntMatrix.from_rows([row[:c] for row in a], cols=c), IntMatrix.from_rows([row[c:] for row in a], cols=r)
 
 
 def row_basis(M: IntMatrix) -> IntMatrix:
-    """Canonical (Hermite) basis of the row lattice of M, one row per rank; no transform is built."""
-    a, _ = _hermite(M, with_transform=False)
-    return IntMatrix.from_rows([row for row in a if any(row)], cols=M.cols)
+    """Canonical (Hermite) basis of the row lattice of M, one row per rank: M's rows joined one by one."""
+    basis = IntMatrix(0, M.cols, ())
+    for i in range(M.rows):
+        basis = join_row(basis, M.row(i))
+    return basis
 
 
 def join_row(basis: IntMatrix, row: Sequence[int]) -> IntMatrix:
@@ -376,25 +375,9 @@ def join_row(basis: IntMatrix, row: Sequence[int]) -> IntMatrix:
     return IntMatrix(len(rows), c, tuple(chain.from_iterable(rows)))
 
 
-def _hermite(M: IntMatrix, with_transform: bool):
-    r, c = M.rows, M.cols
-    a = M.to_rows()
-    U = [[int(i == j) for j in range(r)] for i in range(r)] if with_transform else None
-
-    def swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def row_sub(i, j, q):
-        ai, aj = a[i], a[j]
-        for k in range(c):
-            ai[k] -= q * aj[k]
-        if U is not None:
-            ui, uj = U[i], U[j]
-            for k in range(r):
-                ui[k] -= q * uj[k]
-
+def _hermite(a: list[list[int]], c: int):
+    """Bring the rows ``a`` to Hermite form in place, with pivots in their first c columns."""
+    r = len(a)
     pr = 0
     for col in range(c):
         if pr == r:
@@ -405,11 +388,11 @@ def _hermite(M: IntMatrix, with_transform: bool):
                 break
             i0 = min(live, key=lambda i: (abs(a[i][col]), i))
             if i0 != pr:
-                swap(pr, i0)
+                a[pr], a[i0] = a[i0], a[pr]
             done = True
             for i in range(pr + 1, r):
                 if a[i][col]:
-                    row_sub(i, pr, a[i][col] // a[pr][col])
+                    _row_sub(a, i, pr, a[i][col] // a[pr][col])
                     if a[i][col]:
                         done = False
             if done:
@@ -418,15 +401,11 @@ def _hermite(M: IntMatrix, with_transform: bool):
             continue
         if a[pr][col] < 0:
             a[pr] = [-x for x in a[pr]]
-            if U is not None:
-                U[pr] = [-x for x in U[pr]]
         for i in range(pr):
             q = a[i][col] // a[pr][col]
             if q:
-                row_sub(i, pr, q)
+                _row_sub(a, i, pr, q)
         pr += 1
-
-    return a, U
 
 
 class RowLattice:
@@ -526,7 +505,7 @@ class FinAbGroup:
     @classmethod
     def from_dict(cls, data: dict) -> "FinAbGroup":
         return cls(
-            torsion=tuple(strict_int(x) for x in data["torsion"]),
+            torsion=tuple(strict_list(data["torsion"])),
             free_rank=strict_int(data["free_rank"]),
         )
 

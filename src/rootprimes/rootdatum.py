@@ -781,6 +781,15 @@ def cartan_type(datum: RootDatum) -> CartanType:
 # ---------------------------------------------------------------------------
 
 
+def _root_indices(datum: RootDatum, indices: Iterable[int]) -> list[int]:
+    """The distinct indices, ascending; ValueError for one that names no root."""
+    idx = sorted(set(indices))
+    for i in idx:
+        if not 0 <= i < datum.num_roots:
+            raise ValueError(f"root index {i} out of range")
+    return idx
+
+
 def root_lattice_quotient(datum: RootDatum, subset_indices: Iterable[int]) -> FinAbGroup:
     """Z.roots / Z.subset for a subset of root indices.
 
@@ -791,7 +800,7 @@ def root_lattice_quotient(datum: RootDatum, subset_indices: Iterable[int]) -> Fi
     """
     rec = _valid(datum)
     n = len(rec.simple)
-    rows = dict.fromkeys(tuple(map(abs, rec.coefficients[i])) for i in subset_indices)
+    rows = dict.fromkeys(tuple(map(abs, rec.coefficients[i])) for i in _root_indices(datum, subset_indices))
     return quotient_group(n, IntMatrix.from_rows(list(rows), cols=n))
 
 
@@ -818,12 +827,8 @@ def weight_lattice_quotients(datum: RootDatum, subset: Iterable[int]) -> FinAbGr
     modulo C P, with C the subset's coefficient rows (see :func:`base_pairing`).
     """
     rec = _valid(datum)
-    idx = sorted(set(subset))
-    for i in idx:
-        if not 0 <= i < datum.num_roots:
-            raise ValueError(f"root index {i} out of range")
     n = len(rec.simple)
-    rows = IntMatrix.from_rows([rec.coefficients[i] for i in idx], cols=n)
+    rows = IntMatrix.from_rows([rec.coefficients[i] for i in _root_indices(datum, subset)], cols=n)
     return quotient_group(n, rows @ base_pairing(datum))
 
 

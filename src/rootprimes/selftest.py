@@ -193,13 +193,16 @@ def _determinantal_divisors_ok(m: IntMatrix, divisors) -> bool:
     return True
 
 
+def snf_trial_matrices() -> list[IntMatrix]:
+    """Criterion 9's 200 seeded matrices: 0 to 8 rows and columns, entries in [-20, 20]."""
+    rng = random.Random(20260508)
+    return [random_int_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), -20, 20) for _ in range(200)]
+
+
 def criterion_9_snf_soundness(limit: int) -> str:
     """Exact SNF reconstruction, unimodularity, chain, determinantal oracle."""
-    rng = random.Random(20260508)
-    for trial in range(200):
-        rows = rng.randint(0, 8)
-        cols = rng.randint(0, 8)
-        m = random_int_matrix(rng, rows, cols, -20, 20)
+    for trial, m in enumerate(snf_trial_matrices()):
+        rows, cols = m.rows, m.cols
         snf = smith_normal_form(m)
         diag = IntMatrix.diagonal(snf.divisors, rows, cols)
         assert snf.U @ m @ snf.V == diag, f"trial {trial}: U M V is not the divisor diagonal"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadPrimeError
-from .intlin import IntMatrix, check_prime, rank_mod_p, snf_divisors
+from .intlin import IntMatrix, check_prime, rank_mod_p, snf_divisors, strict_int
 from .primes import bad_primes, failing_type_a_positions, pretty_good
 from .rootdatum import RootDatum, components, ensure_valid, simple_system
 
@@ -113,9 +113,10 @@ def check_gluing(matrix: IntMatrix, exponents, p: int) -> GluingCheck:
 
     With all exponents positive, the composite surjects exactly when the
     matrix surjects mod p, exactly when its n elementary divisors are all
-    prime to p.  Both criteria are evaluated; disagreement raises.
+    prime to p.  Both criteria are evaluated; disagreement raises.  An
+    exponent that is not an int (a float, a bool) raises ValueError.
     """
-    exponents = tuple(int(e) for e in exponents)
+    exponents = tuple(map(strict_int, exponents))
     if matrix.rows != len(exponents):
         raise ValueError("shape mismatch: one exponent per matrix row required")
     if matrix.cols < matrix.rows:

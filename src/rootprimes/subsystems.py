@@ -133,6 +133,14 @@ class WeylElement:
             image.add(y)
         return len(image) == len(datum.roots)
 
+    def moved_rows(self) -> IntMatrix:
+        """(s-1)X as a row lattice: row i is (s-1) applied to basis vector i."""
+        return (self.matrix - IntMatrix.identity(self.matrix.rows)).transpose()
+
+    def coinvariants(self) -> FinAbGroup:
+        """X/(s-1)X, from one Smith form of :meth:`moved_rows`."""
+        return quotient_group(self.matrix.rows, self.moved_rows())
+
 
 def reflection(datum: RootDatum, root_index: int) -> WeylElement:
     """The reflection x -> x - <x, a^vee> a through the root at root_index."""
@@ -201,8 +209,4 @@ def coxeter_fixed_torsion(datum: RootDatum) -> tuple[FinAbGroup, tuple[int, ...]
     when Y modulo the coroot lattice does.
     """
     s = coxeter_element_type_a(datum)
-    delta = s.matrix - IntMatrix.identity(datum.rank)
-    image_rows = delta.transpose()  # rows = images of the basis vectors
-    group = quotient_group(datum.rank, image_rows)
-    rel = tuple(relative_divisors(image_rows, datum.root_matrix()))
-    return group, rel
+    return s.coinvariants(), tuple(relative_divisors(s.moved_rows(), datum.root_matrix()))

@@ -72,6 +72,20 @@ def test_tampered_certificates_fail():
     assert not verify_certificate(Certificate("no-such-kind", cert.datum, 2, {}))
 
 
+def test_a_torsion_that_is_not_a_list_fails_for_all_kinds():
+    # {} and "" once iterated as the empty chain, so a trivial quotient verified
+    certs = [build_certificate(preset(name), 2) for name in ("GL(2)", "SC(A1)", "SC(G2)", "AD(A1)")]
+    assert [cert.kind for cert in certs] == [PRETTY_GOOD_PROOF, CENTER_TORSION, BAD_PRIME_SUBSYSTEM, COXETER_TORSION]
+    assert certs[0].payload["x_mod_root_lattice"]["torsion"] == []
+    for cert in certs:
+        quotients = [key for key, value in cert.payload.items() if isinstance(value, dict)]
+        assert quotients, cert.kind
+        for key in quotients:
+            for wrong in ({}, "", "2", {"2": 1}):
+                payload = dict(cert.payload, **{key: dict(cert.payload[key], torsion=wrong)})
+                assert not verify_certificate(Certificate(cert.kind, cert.datum, 2, payload)), (cert.kind, key, wrong)
+
+
 def test_pretty_good_kind_tracks_report():
     for name in ("SC(A2)", "AD(B2)", "GL(4)", "Sum(SC(A1), Torus(1))"):
         datum = preset(name)

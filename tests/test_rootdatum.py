@@ -19,6 +19,7 @@ from rootprimes.rootdatum import (
     is_semisimple,
     preset,
     root_coefficients,
+    root_lattice_quotient,
     same_datum,
     simple_system,
     torus,
@@ -140,6 +141,13 @@ def test_weight_lattice_quotients_rejects_bad_indices():
     datum = preset("SC(A2)")
     with pytest.raises(ValueError, match="out of range"):
         weight_lattice_quotients(datum, [99])
+
+
+def test_root_lattice_quotient_rejects_bad_indices():
+    datum = preset("SC(A2)")
+    for bad in ([-1], [99], [0, datum.num_roots]):
+        with pytest.raises(ValueError, match="out of range"):
+            root_lattice_quotient(datum, bad)
 
 
 def test_dual_involution_and_examples():

@@ -95,6 +95,13 @@ def test_check_gluing_shape_errors():
         check_gluing(IntMatrix.from_rows([[1, 0]]), (0,), 2)
 
 
+def test_check_gluing_rejects_non_integer_exponents():
+    m = IntMatrix.from_rows([[1, 0, 2], [0, 3, 1]])
+    for exponents in ([1.5, 2.9], [True, 1], [1, "2"]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            check_gluing(m, exponents, 5)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_check_gluing_two_routes_random(seed):
     rng = random.Random(9000 + seed)

@@ -9,6 +9,7 @@ from rootprimes.rootdatum import components, preset, simple_system
 from rootprimes.sampling import random_type_a_datum
 from rootprimes.subsystems import (
     RootSubset,
+    WeylElement,
     coxeter_closed_form_type_a,
     coxeter_element_type_a,
     coxeter_fixed_torsion,
@@ -165,6 +166,16 @@ def test_coxeter_fixed_torsion_examples():
     group, rel = coxeter_fixed_torsion(preset("Torus(3)"))
     assert group == FinAbGroup((), 3)
     assert rel == ()
+
+
+def test_coinvariants_of_weyl_elements():
+    # X/(s-1)X: the identity moves nothing, a reflection of SC(A1) is -1 on Z,
+    # and the reflection of GL(2) swaps the coordinates
+    assert WeylElement(IntMatrix.identity(3)).coinvariants() == FinAbGroup((), 3)
+    assert reflection(preset("SC(A1)"), 0).coinvariants() == FinAbGroup((2,), 0)
+    s = reflection(preset("GL(2)"), 0)
+    assert s.moved_rows() == IntMatrix.from_rows([[-1, 1], [1, -1]])
+    assert s.coinvariants() == FinAbGroup((), 1)
 
 
 @pytest.mark.parametrize("seed", range(30))
