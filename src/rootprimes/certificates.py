@@ -304,7 +304,7 @@ def verify_certificate(cert: Certificate) -> bool:
     if (matrix.rows, matrix.cols) != (side_datum.rank, side_datum.rank):
         return False
     w = WeylElement(matrix)
-    if not matrix.is_unimodular() or not w.permutes_roots(side_datum):
+    if not w.in_weyl_group(side_datum):
         return False
     group = w.coinvariants()
     return fields["character_quotient"] == group and not p_torsion_free(group, p)

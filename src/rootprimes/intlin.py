@@ -12,7 +12,8 @@ Each normal form has one kernel.  A transform is an identity block set
 beside the matrix (U) or below it (V); the kernel picks its pivots in the
 matrix's own block, its row and column steps carry the identity blocks
 along, and the transforms are sliced out at the end.  A row-lattice basis
-is built by :func:`join_row`, one row at a time from the zero basis.
+is built by :func:`_join`, one row at a time from the zero basis, on a tuple
+of row tuples; the IntMatrix is built once, at the end.
 
 Matrices follow the row convention: the lattice spanned by a matrix is the
 integer span of its rows.
@@ -325,54 +326,64 @@ def hermite_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
 
 def row_basis(M: IntMatrix) -> IntMatrix:
     """Canonical (Hermite) basis of the row lattice of M, one row per rank: M's rows joined one by one."""
-    basis = IntMatrix(0, M.cols, ())
+    rows: tuple[tuple[int, ...], ...] = ()
     for i in range(M.rows):
-        basis = join_row(basis, M.row(i))
-    return basis
+        rows = _join(rows, M.row(i))
+    return IntMatrix(len(rows), M.cols, tuple(chain.from_iterable(rows)))
 
 
 def join_row(basis: IntMatrix, row: Sequence[int]) -> IntMatrix:
     """``row_basis`` of the rows of the Hermite basis ``basis`` plus one more row.
 
-    The row is cleared column by column against the basis rows: at a pivot
-    it divides, it is reduced; at one it does not divide, Euclid's algorithm
-    on the two rows puts their gcd in the pivot; where no basis row has a
-    pivot, it becomes a new row.  The basis itself comes back when the row
-    lies in its lattice; otherwise the entries above the pivots are reduced
-    again.
+    The basis itself comes back when the row lies in its lattice (see :func:`_join`).
     """
     c = basis.cols
     e = basis.entries
-    rows: list[Sequence[int]] = [e[k * c : (k + 1) * c] for k in range(basis.rows)]
-    v = row
+    rows = tuple(e[k * c : (k + 1) * c] for k in range(basis.rows))
+    joined = _join(rows, row)
+    if joined is rows:
+        return basis
+    return IntMatrix(len(joined), c, tuple(chain.from_iterable(joined)))
+
+
+def _join(rows: tuple[tuple[int, ...], ...], v: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The Hermite basis ``rows``, a tuple of int tuples, with one more row ``v`` joined.
+
+    The row is cleared column by column against the basis rows: at a pivot
+    it divides, it is reduced; at one it does not divide, Euclid's algorithm
+    on the two rows puts their gcd in the pivot; where no basis row has a
+    pivot, it becomes a new row.  ``rows`` itself comes back when ``v`` lies
+    in its lattice; otherwise the entries above the pivots are reduced again.
+    """
+    out: list[Sequence[int]] = list(rows)
     changed = False
     i = 0
-    for col in range(c):
-        if i < len(rows) and rows[i][col]:  # row i's pivot: the entries before it are zero
-            b = rows[i]
+    for col in range(len(v)):
+        if i < len(out) and out[i][col]:  # row i's pivot: the entries before it are zero
+            b = out[i]
             q, rem = divmod(v[col], b[col])
             if rem:
                 while v[col]:  # Euclid on the two rows leaves their gcd in the pivot
                     q = b[col] // v[col]
                     b, v = v, [bk - q * vk for bk, vk in zip(b, v)]
-                rows[i] = b if b[col] > 0 else [-x for x in b]
+                out[i] = b if b[col] > 0 else [-x for x in b]
                 changed = True
             elif q:
                 v = [vk - q * bk for bk, vk in zip(b, v)]
             i += 1
         elif v[col]:
-            rows.insert(i, v if v[col] > 0 else [-x for x in v])
+            out.insert(i, v if v[col] > 0 else [-x for x in v])
             changed = True
             break
     if not changed:
-        return basis
-    for j, pr in enumerate(rows):
+        return rows
+    for j, pr in enumerate(out):
         col = next(k for k, x in enumerate(pr) if x)
         for k in range(j):
-            q = rows[k][col] // pr[col]
+            q = out[k][col] // pr[col]
             if q:
-                rows[k] = [x - q * y for x, y in zip(rows[k], pr)]
-    return IntMatrix(len(rows), c, tuple(chain.from_iterable(rows)))
+                out[k] = [x - q * y for x, y in zip(out[k], pr)]
+    return tuple(map(tuple, out))
 
 
 def _hermite(a: list[list[int]], c: int):

@@ -19,11 +19,19 @@ yields the good, very-good and X-side exponents together.  The coroot
 subsets range over exactly the root subsets of the dual datum, so pretty
 good reads the X-side exponents of the datum and of its dual.
 
-The full sweep is the second tier, with no class reduction: it visits every
-subset of the roots and every subset of the coroots.  A subset's lattice is
-the lattice of the subset without its top index joined with the top vector,
-a join chain memoized per (lattice, index) within one sweep, and each
-distinct lattice takes one Smith form.
+The full sweep is the second tier, with no class reduction: it covers every
+subset of the roots and every subset of the coroots.  The lattices spanned
+by L plus a subset of the vectors from index s on depend on the state
+(L, s) alone, and such a state leads to (L, s + 1), which skips vector s,
+and to (L joined with vector s, s + 1), which takes it.  Every subset is one
+path of these steps from (zero lattice, 0), so a walk that visits each
+state once, with one join each, finds exactly the lattices of all 2^n
+subsets in at most #lattices * (n + 1) steps.  Each distinct lattice takes
+one Smith form.
+
+Both passes hold a Hermite basis as a tuple of row tuples, joined by
+:func:`rootprimes.intlin._join` and keyed by those tuples, and take the
+Smith forms straight from row lists; no IntMatrix is built per join.
 
 No quotient depends on p, so each oracle computes one torsion exponent per
 datum, the lcm of the torsion entries of every quotient it ranges over, and
@@ -33,10 +41,13 @@ reads every prime off it: p fails exactly when it divides the exponent.
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import mul
 from typing import Sequence
 
+from . import intlin
 from .errors import TooLargeError
-from .intlin import IntMatrix, check_prime, join_row, snf_divisors
+from .intlin import IntMatrix, check_prime
 from .rootdatum import (
     RootDatum,
     base_pairing,
@@ -47,74 +58,101 @@ from .rootdatum import (
     simple_system,
 )
 
+# a Hermite basis as the tuple of its row tuples, the zero lattice as ()
+Rows = tuple[tuple[int, ...], ...]
 
-def _sublattice_classes(rows: Sequence[Sequence[int]], width: int) -> list[IntMatrix]:
+
+def _matrices(lattices: Sequence[Rows], width: int) -> list[IntMatrix]:
+    return [IntMatrix(len(m), width, tuple(chain.from_iterable(m))) for m in lattices]
+
+
+def _class_rows(rows: Sequence[Sequence[int]]) -> list[Rows]:
     """The Hermite bases of the lattices spanned by subsets of ``rows``, each distinct one once.
 
     A closure search from the zero lattice (the empty subset): each lattice
     found is joined with every row.
     """
-    zero = IntMatrix(0, width, ())
-    seen = {zero}
-    found = [zero]
+    join = intlin._join
+    seen = {()}
+    found: list[Rows] = [()]
     for basis in found:  # grows while it is walked
         for row in rows:
-            joined = join_row(basis, row)
-            if joined not in seen:
+            joined = join(basis, row)
+            if joined is not basis and joined not in seen:
                 seen.add(joined)
                 found.append(joined)
     return found
 
 
-def _exponent(matrices) -> int:
-    """lcm of the nonzero Smith divisors of the matrices: the exponent of their quotients' torsion."""
-    return math.lcm(*{d for m in matrices for d in snf_divisors(m) if d})
+def _sublattice_classes(rows: Sequence[Sequence[int]], width: int) -> list[IntMatrix]:
+    """:func:`_class_rows` as IntMatrix bases of ``width`` columns."""
+    return _matrices(_class_rows(rows), width)
+
+
+def _times(m: Rows, cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The row list of M times the matrix with columns ``cols``."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in m]
+
+
+def _exponent(matrices, width: int) -> int:
+    """lcm of the nonzero Smith divisors of row lists ``width`` wide: the exponent of their quotients' torsion."""
+    return math.lcm(*{d for m in matrices for d in intlin._smith([list(r) for r in m], len(m), width) if d})
 
 
 def _class_exponents(datum: RootDatum) -> tuple[int, int, int]:
     """(good, very-good, X-side) exponents of the datum: the Smith forms of M, M P and M B per class M."""
     simple = simple_system(datum)
     coefficients = root_coefficients(datum)
-    base = IntMatrix.from_rows([datum.roots[a] for a in simple], cols=datum.rank)
-    pairing = base_pairing(datum)
-    classes = _sublattice_classes([coefficients[k] for k in positive_roots(datum)], len(simple))
-    return _exponent(classes), _exponent(m @ pairing for m in classes), _exponent(m @ base for m in classes)
+    pairing = list(zip(*base_pairing(datum).to_rows()))
+    base = list(zip(*(datum.roots[a] for a in simple)))
+    classes = _class_rows([coefficients[k] for k in positive_roots(datum)])
+    width = len(simple)
+    return (
+        _exponent(classes, width),
+        _exponent((_times(m, pairing) for m in classes), width),
+        _exponent((_times(m, base) for m in classes), datum.rank),
+    )
+
+
+def _subset_rows(vectors: Sequence[Sequence[int]]) -> list[Rows]:
+    """The Hermite bases of the spans of the subsets of ``vectors``, each distinct one once.
+
+    A walk from the state (zero lattice, 0) that visits each (lattice
+    number, next index) state once, with one join (see the module docstring).
+    """
+    join = intlin._join
+    n = len(vectors)
+    lattices: list[Rows] = [()]
+    number = {(): 0}
+    seen = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        lattice, s = stack.pop()
+        if s == n:
+            continue
+        basis = lattices[lattice]
+        joined = join(basis, vectors[s])
+        taken = lattice
+        if joined is not basis:
+            taken = number.get(joined)
+            if taken is None:
+                taken = number[joined] = len(lattices)
+                lattices.append(joined)
+        for state in ((lattice, s + 1), (taken, s + 1)):
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return lattices
 
 
 def _subset_lattices(vectors: Sequence[Sequence[int]], rank: int) -> list[IntMatrix]:
-    """The Hermite bases of the spans of the subsets of ``vectors``, each distinct one once.
-
-    A depth-first walk visits every subset as an increasing index sequence,
-    so a subset's lattice is its parent's (the subset without its top index)
-    joined with the top vector.  Lattices are numbered as they are found,
-    and the join of lattice ``l`` with vector ``top`` is memoized in
-    ``joins[l][top]``.
-    """
-    n = len(vectors)
-    lattices = [IntMatrix(0, rank, ())]
-    number = {lattices[0]: 0}
-    joins: list[list[int | None]] = [[None] * n]
-    stack = [(0, 0)]
-    while stack:
-        lattice, start = stack.pop()
-        memo = joins[lattice]
-        for top in range(start, n):
-            joined = memo[top]
-            if joined is None:
-                basis = join_row(lattices[lattice], vectors[top])
-                joined = number.get(basis)
-                if joined is None:
-                    joined = number[basis] = len(lattices)
-                    lattices.append(basis)
-                    joins.append([None] * n)
-                memo[top] = joined
-            stack.append((joined, top + 1))
-    return lattices
+    """:func:`_subset_rows` as IntMatrix bases of ``rank`` columns."""
+    return _matrices(_subset_rows(vectors), rank)
 
 
 def _full_sweep_exponent(datum: RootDatum) -> int:
     """lcm of the torsion of X / Z.subset and Y / Z.subset^vee over literally every subset."""
-    return _exponent(_subset_lattices(datum.roots, datum.rank) + _subset_lattices(datum.coroots, datum.rank))
+    return _exponent(_subset_rows(datum.roots) + _subset_rows(datum.coroots), datum.rank)
 
 
 # (oracle kind, datum) -> the datum's torsion exponent for that oracle

@@ -782,8 +782,8 @@ def cartan_type(datum: RootDatum) -> CartanType:
 
 
 def _root_indices(datum: RootDatum, indices: Iterable[int]) -> list[int]:
-    """The distinct indices, ascending; ValueError for one that names no root."""
-    idx = sorted(set(indices))
+    """The distinct indices, ascending; ValueError for one that is not an int or names no root."""
+    idx = sorted({strict_int(i) for i in indices})
     for i in idx:
         if not 0 <= i < datum.num_roots:
             raise ValueError(f"root index {i} out of range")

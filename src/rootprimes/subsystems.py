@@ -15,9 +15,12 @@ from .intlin import FinAbGroup, IntMatrix, RowLattice, quotient_group, relative_
 from .rootdatum import (
     HighestRoot,
     RootDatum,
+    _root_indices,
+    base_pairing,
     components,
     ensure_valid,
     highest_roots,
+    positive_roots,
     root_coefficients,
     simple_system,
 )
@@ -31,9 +34,7 @@ class RootSubset:
     indices: frozenset[int]
 
     def __post_init__(self):
-        for i in self.indices:
-            if not 0 <= i < self.datum.num_roots:
-                raise ValueError(f"root index {i} out of range")
+        _root_indices(self.datum, self.indices)
 
     @property
     def sorted_indices(self) -> tuple[int, ...]:
@@ -132,6 +133,38 @@ class WeylElement:
                 return False
             image.add(y)
         return len(image) == len(datum.roots)
+
+    def in_weyl_group(self, datum: RootDatum) -> bool:
+        """True when the matrix is a product of simple reflections of ``datum``.
+
+        Descent: while some simple root a has w(a) outside the positive
+        roots, replace w by w s_a = w - (w a)(a^vee)^T.  When w lies in W,
+        each step removes one positive root from those w sends to negative
+        roots, so within |positive roots| steps w keeps every positive root
+        positive, and the only such element of W is the identity (W acts
+        simply transitively on positive systems; Humphreys, Reflection
+        Groups and Coxeter Groups, 1.8).  A descent that ends at the identity
+        writes w as a product of simple reflections, so no other check of
+        the matrix is needed.
+        """
+        simple = simple_system(datum)
+        pairing = base_pairing(datum)
+        positive = {datum.roots[k] for k in positive_roots(datum)}
+        m = self.matrix.to_rows()
+        # the images w(a_j) of the simple roots, kept up to date with w
+        images = [self.apply(datum.roots[a]) for a in simple]
+        for _ in range(len(positive) + 1):
+            i = next((i for i, y in enumerate(images) if y not in positive), None)
+            if i is None:
+                return m == IntMatrix.identity(len(m)).to_rows()
+            wa = images[i]
+            coroot = datum.coroots[simple[i]]
+            for row, x in zip(m, wa):
+                if x:
+                    row[:] = [y - x * c for y, c in zip(row, coroot)]
+            # w s_i (a_j) = w(a_j) - <a_j, a_i^vee> w(a_i)
+            images = [tuple(y - pairing.at(j, i) * z for y, z in zip(image, wa)) for j, image in enumerate(images)]
+        return False
 
     def moved_rows(self) -> IntMatrix:
         """(s-1)X as a row lattice: row i is (s-1) applied to basis vector i."""

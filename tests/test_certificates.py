@@ -72,6 +72,40 @@ def test_tampered_certificates_fail():
     assert not verify_certificate(Certificate("no-such-kind", cert.datum, 2, {}))
 
 
+def _minus_identity_certificate(name):
+    """A coxeter-torsion certificate at p = 2 whose weyl_matrix is -I, with the right X/(-2)X."""
+    datum = preset(name)
+    r = datum.rank
+    payload = {
+        "side": "primary",
+        "weyl_matrix": [[-int(i == j) for j in range(r)] for i in range(r)],
+        "character_quotient": {"torsion": [2] * r, "free_rank": 0},
+    }
+    return Certificate(COXETER_TORSION, datum, 2, payload)
+
+
+def test_a_weyl_witness_must_lie_in_the_weyl_group():
+    # -I permutes the roots and X/(-2)X has 2-torsion, yet on these data -I is
+    # not in W, and 2 is pretty good for all three
+    for name in ("GL(2)", "GL(3)", "SC(A2)"):
+        assert report(preset(name), 2).pretty_good, name
+        assert not verify_certificate(_minus_identity_certificate(name)), name
+    # -1 lies in the Weyl group of D4
+    assert verify_certificate(_minus_identity_certificate("SC(D4)"))
+
+
+def test_every_built_coxeter_certificate_verifies():
+    built = 0
+    for name in RANK8_PRESETS:
+        for datum in (preset(name), dual(preset(name))):
+            for p in primes_upto(29):
+                cert = build_certificate(datum, p)
+                if cert.kind == COXETER_TORSION:
+                    built += 1
+                    assert verify_certificate(cert), f"{name} at p={p}"
+    assert built == 25
+
+
 def test_a_torsion_that_is_not_a_list_fails_for_all_kinds():
     # {} and "" once iterated as the empty chain, so a trivial quotient verified
     certs = [build_certificate(preset(name), 2) for name in ("GL(2)", "SC(A1)", "SC(G2)", "AD(A1)")]

@@ -10,8 +10,10 @@ from rootprimes.intlin import (
     FinAbGroup,
     IntMatrix,
     RowLattice,
+    _join,
     hermite_normal_form,
     is_prime,
+    join_row,
     p_torsion_free,
     prime_factors,
     primes_upto,
@@ -161,6 +163,41 @@ def test_row_basis_is_the_nonzero_hermite_rows():
             assert (coords is not None) == inside
             if coords is not None:
                 assert tuple(sum(ci * row[j] for ci, row in zip(coords, hermite_rows)) for j in range(m.cols)) == probe
+
+
+def _joined_inputs():
+    """The 200 seeded matrices of the join-chain test, with repeated, negated, multiple and zero rows."""
+    rng = random.Random(1117)
+    for _ in range(200):
+        cols = rng.randint(1, 6)
+        rows = random_int_matrix(rng, rng.randint(1, 8), cols, -6, 6).to_rows()
+        rows += [[-x for x in rows[0]], [3 * x for x in rows[-1]], [0] * cols]
+        rng.shuffle(rows)
+        yield IntMatrix.from_rows(rows, cols=cols)
+
+
+def test_join_returns_its_input_when_the_row_is_in_the_lattice():
+    for m in _joined_inputs():
+        rows = ()
+        for i in range(m.rows):
+            joined = _join(rows, m.row(i))
+            assert all(type(row) is tuple for row in joined)
+            if joined == rows:
+                assert joined is rows
+            rows = joined
+        basis = row_basis(m)
+        assert rows == tuple(basis.row(i) for i in range(basis.rows))
+        for i in range(m.rows):
+            assert _join(rows, m.row(i)) is rows
+            assert join_row(basis, m.row(i)) is basis
+
+
+def test_row_basis_is_the_nonzero_hermite_rows_on_the_join_chain_matrices():
+    for m in _joined_inputs():
+        h, _ = hermite_normal_form(m)
+        basis = row_basis(m)
+        assert (basis.rows, basis.cols) == (sum(1 for i in range(h.rows) if any(h.row(i))), m.cols)
+        assert [basis.row(i) for i in range(basis.rows)] == [h.row(i) for i in range(basis.rows)]
 
 
 def test_quotient_group_examples():

@@ -455,6 +455,29 @@ def test_class_pass_and_join_chain_match_the_references_after_rebasing(seed):
             _check_against_references(name, _rebased(datum, rng))
 
 
+def test_the_full_sweep_walks_each_state_once(monkeypatch):
+    # a state is (lattice, next index); each takes one join, so a side of n
+    # vectors makes at most #lattices * (n + 1) joins, not one per subset
+    from rootprimes import intlin
+
+    calls = [0]
+    join = intlin._join
+
+    def counting(rows, v):
+        calls[0] += 1
+        return join(rows, v)
+
+    monkeypatch.setattr(intlin, "_join", counting)
+    for name in ("SC(A3)", "SC(G2)"):
+        datum = preset(name)
+        assert datum.num_roots == 12
+        for vectors in (datum.roots, datum.coroots):
+            before = calls[0]
+            lattices = _subset_lattices(vectors, datum.rank)
+            joins = calls[0] - before
+            assert 0 < joins <= len(lattices) * (len(vectors) + 1) < 2**12, name
+
+
 def test_join_is_the_row_basis_of_the_rows_so_far():
     rng = random.Random(1117)
     for trial in range(200):

@@ -27,6 +27,7 @@ from rootprimes.rootdatum import (
     weight_lattice_quotients,
 )
 from rootprimes.sampling import random_type_a_datum, random_unimodular
+from rootprimes.subsystems import RootSubset
 from rootprimes.selftest import RANK8_PRESETS
 
 # classical root counts: the closed-form formulas are the independent oracle
@@ -148,6 +149,14 @@ def test_root_lattice_quotient_rejects_bad_indices():
     for bad in ([-1], [99], [0, datum.num_roots]):
         with pytest.raises(ValueError, match="out of range"):
             root_lattice_quotient(datum, bad)
+
+
+def test_root_indices_must_be_ints():
+    datum = preset("SC(A2)")
+    for bad in ([True], [1.0], ["1"]):
+        for parse in (root_lattice_quotient, weight_lattice_quotients, lambda d, i: RootSubset(d, frozenset(i))):
+            with pytest.raises(ValueError, match="expected an integer"):
+                parse(datum, bad)
 
 
 def test_dual_involution_and_examples():
