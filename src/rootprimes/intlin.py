@@ -353,13 +353,22 @@ def _join(rows: tuple[tuple[int, ...], ...], v: Sequence[int]) -> tuple[tuple[in
     it divides, it is reduced; at one it does not divide, Euclid's algorithm
     on the two rows puts their gcd in the pivot; where no basis row has a
     pivot, it becomes a new row.  ``rows`` itself comes back when ``v`` lies
-    in its lattice; otherwise the entries above the pivots are reduced again.
+    in its lattice.
+
+    Otherwise the entries above the pivots are reduced again, only at the
+    pivots from the first changed or inserted row on.  This rests on one
+    invariant: ``rows`` is reduced, and the rows above the first changed row
+    are untouched, so they are already reduced at every earlier pivot.  The
+    clearing pass records each pivot column as it meets it; after an insert,
+    the rows below keep their pivots, and only those are found by a scan.
     """
     out: list[Sequence[int]] = list(rows)
-    changed = False
+    pivots: list[int] = []
+    first = None  # the first changed or inserted row
     i = 0
     for col in range(len(v)):
         if i < len(out) and out[i][col]:  # row i's pivot: the entries before it are zero
+            pivots.append(col)
             b = out[i]
             q, rem = divmod(v[col], b[col])
             if rem:
@@ -367,18 +376,27 @@ def _join(rows: tuple[tuple[int, ...], ...], v: Sequence[int]) -> tuple[tuple[in
                     q = b[col] // v[col]
                     b, v = v, [bk - q * vk for bk, vk in zip(b, v)]
                 out[i] = b if b[col] > 0 else [-x for x in b]
-                changed = True
+                if first is None:
+                    first = i
             elif q:
                 v = [vk - q * bk for bk, vk in zip(b, v)]
             i += 1
         elif v[col]:
             out.insert(i, v if v[col] > 0 else [-x for x in v])
-            changed = True
+            if first is None:
+                first = i
+            pivots.append(col)
+            for pr in out[i + 1 :]:  # the rows below keep their pivots, past col
+                col += 1
+                while not pr[col]:
+                    col += 1
+                pivots.append(col)
             break
-    if not changed:
+    if first is None:
         return rows
-    for j, pr in enumerate(out):
-        col = next(k for k, x in enumerate(pr) if x)
+    for j in range(first, len(out)):
+        col = pivots[j]
+        pr = out[j]
         for k in range(j):
             q = out[k][col] // pr[col]
             if q:

@@ -6,28 +6,29 @@ pretty good when neither X / Z.subset nor Y / Z.subset^vee has any.  These
 brute-force oracles pin the fast criteria of :mod:`rootprimes.primes` to
 those definitions on small data.
 
-Every quotient above depends only on the lattice a subset spans, and any
-subset spans the same lattice as a subset of positive roots (negating a
-generator changes nothing), so the class pass enumerates lattices, not
-subsets.  It runs on the coefficient rows over the base, a Z-basis of
-Z.roots, in Z^|base|: a closure search from the zero lattice joins each
-positive root's row to each lattice found and keeps one Hermite basis M per
-lattice.  Z.roots / Z.subset is presented by M, the weight lattice modulo
-Z.subset by M P (a root with row c pairs with the simple coroots as c P)
-and X / Z.subset by M B (B the simple roots in X), so one pass per datum
-yields the good, very-good and X-side exponents together.  The coroot
-subsets range over exactly the root subsets of the dual datum, so pretty
-good reads the X-side exponents of the datum and of its dual.
-
-The full sweep is the second tier, with no class reduction: it covers every
-subset of the roots and every subset of the coroots.  The lattices spanned
+Every quotient above depends only on the lattice a subset spans, so both
+passes enumerate lattices, not subsets, by one walk.  The lattices spanned
 by L plus a subset of the vectors from index s on depend on the state
 (L, s) alone, and such a state leads to (L, s + 1), which skips vector s,
 and to (L joined with vector s, s + 1), which takes it.  Every subset is one
 path of these steps from (zero lattice, 0), so a walk that visits each
 state once, with one join each, finds exactly the lattices of all 2^n
-subsets in at most #lattices * (n + 1) steps.  Each distinct lattice takes
-one Smith form.
+subsets in at most #lattices * (n + 1) joins.  Each distinct lattice takes
+one Smith form per quotient.
+
+The class pass walks the coefficient rows over the base, a Z-basis of
+Z.roots, in Z^|base|, of the positive roots only: any subset spans the
+same lattice as a subset of positive roots (negating a generator changes
+nothing).  For each lattice, with Hermite basis M, Z.roots / Z.subset is
+presented by M, the weight lattice modulo Z.subset by M P (a root with row
+c pairs with the simple coroots as c P) and X / Z.subset by M B (B the
+simple roots in X), so one pass per datum yields the good, very-good and
+X-side exponents together.  The coroot subsets range over exactly the root
+subsets of the dual datum, so pretty good reads the X-side exponents of the
+datum and of its dual.
+
+The full sweep is the second tier, with no class reduction: it walks all
+the roots in X and all the coroots in Y, so it covers every subset of each.
 
 Both passes hold a Hermite basis as a tuple of row tuples, joined by
 :func:`rootprimes.intlin._join` and keyed by those tuples, and take the
@@ -47,7 +48,7 @@ from typing import Sequence
 
 from . import intlin
 from .errors import TooLargeError
-from .intlin import IntMatrix, check_prime
+from .intlin import IntMatrix, check_prime, strict_int
 from .rootdatum import (
     RootDatum,
     base_pairing,
@@ -60,58 +61,6 @@ from .rootdatum import (
 
 # a Hermite basis as the tuple of its row tuples, the zero lattice as ()
 Rows = tuple[tuple[int, ...], ...]
-
-
-def _matrices(lattices: Sequence[Rows], width: int) -> list[IntMatrix]:
-    return [IntMatrix(len(m), width, tuple(chain.from_iterable(m))) for m in lattices]
-
-
-def _class_rows(rows: Sequence[Sequence[int]]) -> list[Rows]:
-    """The Hermite bases of the lattices spanned by subsets of ``rows``, each distinct one once.
-
-    A closure search from the zero lattice (the empty subset): each lattice
-    found is joined with every row.
-    """
-    join = intlin._join
-    seen = {()}
-    found: list[Rows] = [()]
-    for basis in found:  # grows while it is walked
-        for row in rows:
-            joined = join(basis, row)
-            if joined is not basis and joined not in seen:
-                seen.add(joined)
-                found.append(joined)
-    return found
-
-
-def _sublattice_classes(rows: Sequence[Sequence[int]], width: int) -> list[IntMatrix]:
-    """:func:`_class_rows` as IntMatrix bases of ``width`` columns."""
-    return _matrices(_class_rows(rows), width)
-
-
-def _times(m: Rows, cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The row list of M times the matrix with columns ``cols``."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in m]
-
-
-def _exponent(matrices, width: int) -> int:
-    """lcm of the nonzero Smith divisors of row lists ``width`` wide: the exponent of their quotients' torsion."""
-    return math.lcm(*{d for m in matrices for d in intlin._smith([list(r) for r in m], len(m), width) if d})
-
-
-def _class_exponents(datum: RootDatum) -> tuple[int, int, int]:
-    """(good, very-good, X-side) exponents of the datum: the Smith forms of M, M P and M B per class M."""
-    simple = simple_system(datum)
-    coefficients = root_coefficients(datum)
-    pairing = list(zip(*base_pairing(datum).to_rows()))
-    base = list(zip(*(datum.roots[a] for a in simple)))
-    classes = _class_rows([coefficients[k] for k in positive_roots(datum)])
-    width = len(simple)
-    return (
-        _exponent(classes, width),
-        _exponent((_times(m, pairing) for m in classes), width),
-        _exponent((_times(m, base) for m in classes), datum.rank),
-    )
 
 
 def _subset_rows(vectors: Sequence[Sequence[int]]) -> list[Rows]:
@@ -145,9 +94,34 @@ def _subset_rows(vectors: Sequence[Sequence[int]]) -> list[Rows]:
     return lattices
 
 
-def _subset_lattices(vectors: Sequence[Sequence[int]], rank: int) -> list[IntMatrix]:
-    """:func:`_subset_rows` as IntMatrix bases of ``rank`` columns."""
-    return _matrices(_subset_rows(vectors), rank)
+def _subset_lattices(vectors: Sequence[Sequence[int]], width: int) -> list[IntMatrix]:
+    """:func:`_subset_rows` as IntMatrix bases of ``width`` columns."""
+    return [IntMatrix(len(m), width, tuple(chain.from_iterable(m))) for m in _subset_rows(vectors)]
+
+
+def _times(m: Rows, cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The row list of M times the matrix with columns ``cols``."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in m]
+
+
+def _exponent(matrices, width: int) -> int:
+    """lcm of the nonzero Smith divisors of row lists ``width`` wide: the exponent of their quotients' torsion."""
+    return math.lcm(*{d for m in matrices for d in intlin._smith([list(r) for r in m], len(m), width) if d})
+
+
+def _class_exponents(datum: RootDatum) -> tuple[int, int, int]:
+    """(good, very-good, X-side) exponents of the datum: the Smith forms of M, M P and M B per class M."""
+    simple = simple_system(datum)
+    coefficients = root_coefficients(datum)
+    pairing = list(zip(*base_pairing(datum).to_rows()))
+    base = list(zip(*(datum.roots[a] for a in simple)))
+    classes = _subset_rows([coefficients[k] for k in positive_roots(datum)])
+    width = len(simple)
+    return (
+        _exponent(classes, width),
+        _exponent((_times(m, pairing) for m in classes), width),
+        _exponent((_times(m, base) for m in classes), datum.rank),
+    )
 
 
 def _full_sweep_exponent(datum: RootDatum) -> int:
@@ -172,7 +146,8 @@ def _fill_class_exponents(datum: RootDatum):
 
 
 def _gate_size(datum: RootDatum, exhaustive_limit: int):
-    if datum.num_roots > exhaustive_limit:
+    """TooLargeError when the datum has more roots than ``exhaustive_limit``, an int (see strict_int)."""
+    if datum.num_roots > strict_int(exhaustive_limit):
         raise TooLargeError(
             f"{datum.num_roots} roots exceed the exhaustive limit {exhaustive_limit}"
         )

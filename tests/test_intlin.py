@@ -200,6 +200,63 @@ def test_row_basis_is_the_nonzero_hermite_rows_on_the_join_chain_matrices():
         assert [basis.row(i) for i in range(basis.rows)] == [h.row(i) for i in range(basis.rows)]
 
 
+def _checked_join(rows, v):
+    """``_join(rows, v)``, checked against the nonzero rows of the Hermite form of the rows plus v."""
+    h, _ = hermite_normal_form(IntMatrix.from_rows([*rows, v], cols=len(v)))
+    joined = _join(rows, v)
+    assert joined == tuple(row for row in map(h.row, range(h.rows)) if any(row))
+    # the input itself comes back exactly when the lattice is unchanged
+    assert (joined is rows) == (joined == rows)
+    return joined
+
+
+def _triangular_basis(rng, diagonal):
+    """The Hermite basis of an upper-triangular matrix with the given positive diagonal."""
+    n = len(diagonal)
+    m = [[0] * k + [d] + [rng.randint(-9, 9) for _ in range(n - k - 1)] for k, d in enumerate(diagonal)]
+    basis = row_basis(IntMatrix.from_rows(m, cols=n))
+    return tuple(map(basis.row, range(basis.rows)))
+
+
+def test_join_takes_each_branch_like_the_hermite_form():
+    rng = random.Random(1709)
+    top_rereduced = 0
+    for _ in range(60):
+        n = rng.randint(4, 7)
+        # an insert ahead of every row: the pivots below are found after it
+        below = _triangular_basis(rng, [rng.randint(1, 5) for _ in range(n - 1)])
+        rows = tuple((0, *row) for row in below)
+        v = [-rng.randint(1, 6)] + [rng.randint(-9, 9) for _ in range(n - 1)]
+        joined = _checked_join(rows, v)
+        assert len(joined) == n and joined[0][0] == -v[0]
+        # v[col] == 0 at the first pivot, then an insert between two rows
+        rows = _triangular_basis(rng, [rng.randint(1, 5) for _ in range(n - 1)])
+        rows = tuple((*row[:1], 0, *row[1:]) for row in rows)
+        v = [0, rng.randint(1, 6)] + [rng.randint(-9, 9) for _ in range(n - 2)]
+        joined = _checked_join(rows, v)
+        assert len(joined) == n and joined[1][1] == v[1]
+        # Euclid replaces a middle row, so the rows above it are reduced again
+        # at its pivot and at every later one; v[0] == 0 at the first pivot
+        d = rng.randint(2, 6)
+        rows = _triangular_basis(rng, [rng.randint(1, 3), d] + [rng.randint(1, 4) for _ in range(n - 2)])
+        v = [0, d * rng.randint(-3, 3) + rng.randint(1, d - 1)] + [rng.randint(-9, 9) for _ in range(n - 2)]
+        joined = _checked_join(rows, v)
+        assert len(joined) == len(rows) and joined[1][1] == math.gcd(d, v[1])
+        top_rereduced += joined[0][2:] != rows[0][2:]
+    assert top_rereduced > 0
+    # negative leading entries, zero rows and repeats, chained from the zero lattice
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        rows = ()
+        for _ in range(8):
+            v = [rng.randint(-6, 6) * (rng.random() < 0.6) for _ in range(n)]
+            lead = next((x for x in v if x), 0)
+            if lead > 0:
+                v = [-x for x in v]
+            for w in (v, [0] * n, [-x for x in v]):
+                rows = _checked_join(rows, w)
+
+
 def test_quotient_group_examples():
     assert quotient_group(2, IntMatrix.from_rows([[2, 0]], cols=2)) == FinAbGroup((2,), 1)
     assert quotient_group(1, IntMatrix.from_rows([[2]])) == FinAbGroup((2,), 0)

@@ -10,7 +10,6 @@ from rootprimes.errors import TooLargeError
 from rootprimes.intlin import IntMatrix, join_row, row_basis, snf_divisors
 from rootprimes.oracles import (
     _full_sweep_exponent,
-    _sublattice_classes,
     _subset_lattices,
     good_via_torsion,
     pretty_good_bruteforce,
@@ -353,6 +352,14 @@ def test_checks_run_before_the_cached_exponent(monkeypatch):
             oracle(bad, 3)
 
 
+@pytest.mark.parametrize("limit", ["18", None, 18.5, True])
+def test_the_exhaustive_limit_must_be_an_int(limit):
+    datum = preset("SC(A2)")
+    for oracle in ORACLES:
+        with pytest.raises(ValueError, match="expected an integer"):
+            oracle(datum, 2, exhaustive_limit=limit)
+
+
 # the rank-<=8 presets with at most 12 roots on which no other test runs
 # all four oracles
 UNSAMPLED_ORACLE_PRESETS = (
@@ -420,7 +427,7 @@ def _check_against_references(name, datum):
     """The class pass on ``datum``, a form of preset ``name``, against the masks; returns the class count."""
     coefficients = root_coefficients(datum)
     base = IntMatrix.from_rows([datum.roots[a] for a in simple_system(datum)], cols=datum.rank)
-    found = _sublattice_classes([coefficients[k] for k in positive_roots(datum)], base.rows)
+    found = _subset_lattices([coefficients[k] for k in positive_roots(datum)], base.rows)
     # the base is a Z-basis of Z.roots, so M -> M B maps the lattices of
     # coefficient rows one to one onto the root-spanned lattices of X
     classes = {row_basis(basis @ base) for basis in found}
@@ -476,6 +483,34 @@ def test_the_full_sweep_walks_each_state_once(monkeypatch):
             lattices = _subset_lattices(vectors, datum.rank)
             joins = calls[0] - before
             assert 0 < joins <= len(lattices) * (len(vectors) + 1) < 2**12, name
+
+
+def test_the_class_pass_walks_each_state_once(monkeypatch):
+    # the class pass takes the full sweep's walk over the positive rows, so it
+    # makes at most #lattices * (n + 1) joins, well under the #lattices * n
+    # of a closure search that joins every row to every lattice found
+    from rootprimes import intlin, oracles
+
+    calls = [0]
+    join = intlin._join
+
+    def counting(rows, v):
+        calls[0] += 1
+        return join(rows, v)
+
+    for name in ("SC(B3)", "SC(C3)", "SC(D4)"):
+        datum = preset(name)
+        coefficients = root_coefficients(datum)
+        rows = [coefficients[k] for k in positive_roots(datum)]
+        lattices = _subset_lattices(rows, len(simple_system(datum)))
+        oracles._class_exponents(datum)  # derives the datum first, so only the pass is counted
+        with monkeypatch.context() as patch:
+            patch.setattr(intlin, "_join", counting)
+            calls[0] = 0
+            oracles._class_exponents(datum)
+        closure = len(lattices) * len(rows)
+        assert 0 < calls[0] <= len(lattices) * (len(rows) + 1), name
+        assert 2 * calls[0] < closure, name
 
 
 def test_join_is_the_row_basis_of_the_rows_so_far():
